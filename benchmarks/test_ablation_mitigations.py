@@ -5,10 +5,19 @@ randomized trigger, how much from the delay, and does the combination
 beat either alone?  (The paper only evaluates the combination.)
 """
 
+from dataclasses import replace
+
 from repro.core import MitigationPlan
-from repro.experiments import run_traffic
+from repro.scenarios import run_scenario, scenario
 
 from conftest import record
+
+
+def run_mitigated(plan, settings):
+    """The baseline traffic scenario under *plan*."""
+    return run_scenario(
+        replace(scenario("baseline_traffic"), mitigation=plan), settings=settings
+    )
 
 
 def test_mitigation_decomposition(benchmark, settings):
@@ -20,7 +29,7 @@ def test_mitigation_decomposition(benchmark, settings):
             "both": MitigationPlan.paper_solution(),
         }
         return {
-            name: run_traffic(mitigation=plan, settings=settings).tail_summary(
+            name: run_mitigated(plan, settings).tail_summary(
                 start=settings.warmup_s
             )
             for name, plan in plans.items()
@@ -53,9 +62,9 @@ def test_trigger_spread_width(benchmark, settings):
                 trigger_spread=spread,
                 compaction_delay_s=1.0,
             )
-            out[spread] = run_traffic(
-                mitigation=plan, settings=settings
-            ).tail_summary(start=settings.warmup_s)["p999"]
+            out[spread] = run_mitigated(plan, settings).tail_summary(
+                start=settings.warmup_s
+            )["p999"]
         return out
 
     p999 = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from repro.experiments import ExperimentSettings
-from repro.experiments.runner import run_traffic
+from repro.scenarios import run_scenario
 from repro.sim.kernel import Simulator
 
 from conftest import record
@@ -74,7 +74,7 @@ def _bench_traffic() -> tuple:
 
     def run_once() -> tuple:
         t0 = time.perf_counter()
-        result = run_traffic(settings=settings)
+        result = run_scenario("baseline_traffic", settings=settings)
         elapsed = time.perf_counter() - t0
         return result.job.sim.events_fired / elapsed, elapsed
 

@@ -10,11 +10,13 @@ the < 1 s warm-cache rerun.
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.experiments.figures import DELAY_SWEEP_S
 from repro.experiments.parallel import RunSpec, run_grid
 from repro.core import MitigationPlan
+from repro.scenarios import scenario
 
 from conftest import record
 
@@ -24,10 +26,10 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel_sweep.json
 def _sweep_specs(settings):
     return [
         RunSpec(
-            settings=settings,
-            mitigation=MitigationPlan(
+            scenario=replace(scenario("baseline_traffic"), mitigation=MitigationPlan(
                 randomize_compaction_trigger=True, compaction_delay_s=delay
-            ),
+            )),
+            settings=settings,
             label=f"delay={delay:g}s",
         )
         for delay in DELAY_SWEEP_S

@@ -19,8 +19,8 @@ Quickstart::
     print(report.attributed_fraction, report.classification)
     result.export_trace("run.trace.json", format="chrome")  # → Perfetto
 
-:func:`run_scenario` is the canonical entry point; ``run_traffic`` and
-``run_wordcount`` remain as deprecated wrappers over it.
+:func:`run_scenario` is the canonical entry point: every run — CLI,
+figure, sweep, soak, profile or sanitizer — is a :class:`ScenarioSpec`.
 """
 
 from __future__ import annotations
@@ -64,12 +64,7 @@ from .experiments.shard import (
     merge_summaries,
     plan_shards,
 )
-from .experiments.runner import (
-    DEFAULT_SETTINGS,
-    ExperimentSettings,
-    run_traffic,
-    run_wordcount,
-)
+from .experiments.runner import DEFAULT_SETTINGS, ExperimentSettings
 from .errors import OverloadError, RetryExhaustedError, WatchdogError
 from .experiments.report import render_series, render_table, render_tails
 from .experiments.summary import RunSummary, summarize_run
@@ -166,9 +161,7 @@ __all__ = [
     "sample_scenario",
     "sample_scenarios",
     "build_scenario_job",
-    # runs (run_traffic / run_wordcount are deprecated wrappers)
-    "run_traffic",
-    "run_wordcount",
+    # runs (every RunSpec carries a ScenarioSpec)
     "sweep",
     "run_grid",
     "summarize_run",
@@ -313,18 +306,18 @@ def lint(*paths):
     return lint_paths(targets)
 
 
-def profile(**kwargs) -> ProfileReport:
-    """Profile one benchmark run: kernel dispatch histogram plus an
+def profile(*args, **kwargs) -> ProfileReport:
+    """Profile one scenario run: kernel dispatch histogram plus an
     optional cProfile pass; see
-    :func:`repro.experiments.profile.profile_run` for the keyword
-    arguments.  Equivalent to ``repro profile``.
+    :func:`repro.experiments.profile.profile_run` for the arguments.
+    Equivalent to ``repro profile``.
     """
-    return profile_run(**kwargs)
+    return profile_run(*args, **kwargs)
 
 
-def sanitize(**kwargs) -> SanitizeReport:
+def sanitize(*args, **kwargs) -> SanitizeReport:
     """Run the runtime sanitizers (race detector + ordering checks) on
-    one benchmark; see :func:`repro.sanitize.sanitize_experiment` for
-    the keyword arguments.  Equivalent to ``repro sanitize``.
+    one scenario; see :func:`repro.sanitize.sanitize_experiment` for
+    the arguments.  Equivalent to ``repro sanitize``.
     """
-    return sanitize_experiment(**kwargs)
+    return sanitize_experiment(*args, **kwargs)

@@ -54,7 +54,7 @@ class ShadowSyncFinding:
             return 0.0
         return len(self.matched_spikes) / len(self.spikes)
 
-    def as_dict(self) -> dict:
+    def to_dict(self) -> dict:
         return {
             "millibottlenecks": self.millibottlenecks,
             "num_spikes": len(self.spikes),

@@ -21,8 +21,10 @@ Usage::
     python -m repro cache info             # inspect the result cache
     python -m repro cache clear
     python -m repro profile fig8           # dispatch histogram + cProfile
+    python -m repro profile windowed_join  # ... of any library scenario
     python -m repro lint src/repro         # determinism lint (exit 1 on findings)
     python -m repro sanitize --duration 24 # race + ordering sanitizers
+    python -m repro sanitize fig19         # ... on an experiment's exemplar
 
 The output is plain text (tables and ASCII timelines); experiment
 functions are resolved from :mod:`repro.experiments.figures`.  Sweep
@@ -41,7 +43,9 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional
 
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError, did_you_mean
+from ..scenarios.library import SCENARIOS, scenario
+from ..scenarios.spec import ScenarioSpec
 from . import figures
 from .parallel import (
     CACHE_ENV,
@@ -54,22 +58,23 @@ from .parallel import (
 from .report import render_series, render_sweep, render_table, render_tails
 from .runner import ExperimentSettings
 
-__all__ = ["EXPERIMENTS", "main", "build_parser"]
+__all__ = ["EXPERIMENTS", "EXEMPLARS", "main", "build_parser", "resolve_target"]
 
-#: ``repro trace`` exemplar run per experiment: the single traced run
-#: that best illustrates what the experiment measures (sweeps trace
-#: their baseline point).  Values are :class:`RunSpec` keyword overrides.
-EXEMPLARS: Dict[str, Dict] = {
-    "fig1": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "fig3": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "table1": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "fig6": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "fig7": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "fig8": {"interval_s": 8.0, "initial_l0": "aligned"},
-    "fig17": {"kind": "wordcount"},
-    "fig18": {"kind": "wordcount"},
-    "fig19": {"storage": "nvme"},
-    "fig20": {"kind": "wordcount", "storage": "nvme"},
+#: The exemplar run of each experiment that ``trace``, ``profile``,
+#: ``sanitize`` and ``run --faults`` use: the single run that best
+#: illustrates what the experiment measures.  Experiments missing here
+#: (the sweeps and baseline-vs-solution comparisons) use
+#: ``baseline_traffic``, their unmitigated point.
+EXEMPLARS: Dict[str, ScenarioSpec] = {
+    "fig1": figures.SCHEDULED_TRAFFIC,
+    "fig3": figures.SCHEDULED_TRAFFIC,
+    "table1": figures.SCHEDULED_TRAFFIC,
+    "fig6": figures.SCHEDULED_TRAFFIC,
+    "fig7": figures.SCHEDULED_TRAFFIC,
+    "fig17": scenario("baseline_wordcount"),
+    "fig18": scenario("baseline_wordcount"),
+    "fig19": figures.TRAFFIC_NVME,
+    "fig20": figures.WORDCOUNT_NVME,
 }
 
 #: CLI name -> experiment function.
@@ -91,6 +96,32 @@ EXPERIMENTS: Dict[str, Callable] = {
     "fig20": figures.fig20_wordcount_nvme,
     "headline": figures.headline_reduction,
 }
+
+#: Help text of the TARGET argument shared by trace/profile/sanitize.
+_TARGET_HELP = (
+    "an experiment name (runs its exemplar) or a library scenario name "
+    "('repro list' / 'repro scenarios list')"
+)
+
+
+def resolve_target(name: str) -> ScenarioSpec:
+    """The scenario a CLI target names.
+
+    An experiment name maps to its exemplar (:data:`EXEMPLARS`, default
+    ``baseline_traffic``); anything else must be a library scenario, and
+    unknown names raise :class:`ConfigurationError` with a did-you-mean
+    hint over both.
+    """
+    if name in EXPERIMENTS:
+        return EXEMPLARS.get(name) or scenario("baseline_traffic")
+    if name in SCENARIOS:
+        return SCENARIOS[name]
+    hint = did_you_mean(name, [*EXPERIMENTS, *SCENARIOS])
+    raise ConfigurationError(
+        f"unknown target {name!r}{hint}; expected an experiment "
+        f"({', '.join(sorted(EXPERIMENTS))}) or a library scenario "
+        f"({', '.join(sorted(SCENARIOS))})"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,11 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="record one traced exemplar run of an experiment, write the "
-             "trace and print its millibottleneck attribution",
+        help="record one traced exemplar (or library scenario) run, write "
+             "the trace and print its millibottleneck attribution",
     )
     trace.add_argument("experiment", nargs="?", default="fig8",
-                       choices=sorted(EXPERIMENTS))
+                       metavar="TARGET", help=_TARGET_HELP)
     trace.add_argument("--duration", type=float, default=104.0,
                        help="simulated seconds (default 104)")
     trace.add_argument("--warmup", type=float, default=32.0,
@@ -195,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="pipeline under chaos: 'library' (default) "
                            "samples one scenario per seed from the soak "
                            "pool, a library scenario name pins that "
-                           "scenario, 'traffic'/'wordcount' keep the "
-                           "legacy ad-hoc pipelines")
+                           "scenario ('traffic'/'wordcount' are short for "
+                           "the baseline_* scenarios)")
     soak.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
                       help="one soak run per seed (default: 1 2)")
     soak.add_argument("--duration", type=float, default=130.0,
@@ -308,12 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="profile one exemplar run: kernel dispatch histogram "
+        help="profile one exemplar or scenario run: kernel dispatch histogram "
              "(per-callback event counts and self time) plus an optional "
              "cProfile pass — the starting point for hot-spot hunts",
     )
     profile.add_argument("experiment", nargs="?", default="fig8",
-                         choices=sorted(EXPERIMENTS))
+                         metavar="TARGET", help=_TARGET_HELP)
     profile.add_argument("--duration", type=float, default=104.0,
                          help="simulated seconds (default 104)")
     profile.add_argument("--seed", type=int, default=1)
@@ -330,22 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sanitize = sub.add_parser(
         "sanitize",
-        help="runtime determinism sanitizers: run a benchmark twice with "
+        help="runtime determinism sanitizers: run a scenario twice with "
              "perturbed same-timestamp tie-breaking and diff state "
              "digests, then check cache-key/summary order independence "
              "(exit 1 on divergence)",
     )
-    sanitize.add_argument("--kind", choices=("traffic", "wordcount"),
-                          default="wordcount")
+    sanitize.add_argument("experiment", nargs="?",
+                          default="baseline_wordcount", metavar="TARGET",
+                          help=_TARGET_HELP + " (default baseline_wordcount)")
     sanitize.add_argument("--duration", type=float, default=24.0,
                           help="simulated seconds per probe run (default 24)")
     sanitize.add_argument("--window", type=float, default=2.0,
                           help="digest window, seconds (default 2)")
     sanitize.add_argument("--seed", type=int, default=1)
-    sanitize.add_argument("--interval", type=float, default=8.0,
-                          help="checkpoint interval, seconds (default 8)")
-    sanitize.add_argument("--storage", choices=("tmpfs", "nvme"),
-                          default="tmpfs")
     sanitize.add_argument("--shards", type=int, default=1, metavar="G",
                           help="sanitize the sharded mode: probe the 1/G "
                                "cluster slice a sharded worker executes")
@@ -470,14 +498,17 @@ def _trace_command(args) -> int:
     from ..analysis.millibottleneck import analyze_summary
     from ..trace import TraceEvent, Tracer
 
-    overrides = dict(EXEMPLARS.get(args.experiment, {}))
-    kind = overrides.pop("kind", "traffic")
+    try:
+        target = resolve_target(args.experiment)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     settings = ExperimentSettings(
         duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
         trace=True,
     )
-    spec = RunSpec(kind=kind, settings=settings,
-                   label=f"trace:{args.experiment}", **overrides)
+    spec = RunSpec(scenario=target, settings=settings,
+                   label=f"trace:{args.experiment}")
     with _cache_override(args.no_cache):
         summary = run_grid([spec])[0]
     if not summary.trace_events:
@@ -498,7 +529,7 @@ def _trace_command(args) -> int:
         tracer.write_chrome(out)
     else:
         tracer.write_jsonl(out)
-    print(f"{len(tracer)} events ({summary.kind} run, schema "
+    print(f"{len(tracer)} events ({target.app} run, schema "
           f"{summary.trace_schema}) -> {out}")
 
     report = analyze_summary(summary)
@@ -508,7 +539,6 @@ def _trace_command(args) -> int:
 
 def _faults_command(args) -> int:
     """Run the experiment's exemplar under a fault plan; report recovery."""
-    from ..errors import ConfigurationError
     from ..faults import load_fault_plan
 
     try:
@@ -516,14 +546,12 @@ def _faults_command(args) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    overrides = dict(EXEMPLARS.get(args.experiment, {}))
-    kind = overrides.pop("kind", "traffic")
     settings = ExperimentSettings(
         duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
         trace=args.trace,
     )
-    spec = RunSpec(kind=kind, settings=settings, faults=plan,
-                   label=f"faults:{args.experiment}", **overrides)
+    spec = RunSpec(scenario=resolve_target(args.experiment).with_faults(plan),
+                   settings=settings, label=f"faults:{args.experiment}")
     with _cache_override(args.no_cache):
         summary = run_grid([spec], jobs=args.jobs)[0]
 
@@ -560,8 +588,7 @@ def _faults_command(args) -> int:
 
 def _scenarios_command(args) -> int:
     """List the scenario library, or show one spec in full."""
-    from ..errors import ConfigurationError
-    from ..scenarios import SOAK_POOL, scenario, scenario_names
+    from ..scenarios import SOAK_POOL, scenario_names
     from .parallel import cache_key_from_dict
 
     if args.action == "list":
@@ -615,9 +642,7 @@ def _scenarios_command(args) -> int:
 
 def _run_scenario_command(args) -> int:
     """Run one library scenario through the unified scenario path."""
-    from ..errors import ConfigurationError
     from ..faults import load_fault_plan
-    from ..scenarios import scenario
 
     try:
         spec = scenario(args.scenario)
@@ -629,9 +654,10 @@ def _run_scenario_command(args) -> int:
         duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
         trace=args.trace,
     )
+    if plan is not None:
+        spec = spec.with_faults(plan)
     run_spec = RunSpec(
-        kind="scenario", scenario=spec, settings=settings, faults=plan,
-        label=f"scenario:{spec.name}",
+        scenario=spec, settings=settings, label=f"scenario:{spec.name}"
     )
     with _cache_override(args.no_cache), _shard_override(args.shards):
         summary = run_grid([run_spec], jobs=args.jobs)[0]
@@ -653,9 +679,6 @@ def _run_scenario_command(args) -> int:
 
 def _cluster_command(args) -> int:
     """Show a scenario's ClusterSpec, or run it and audit the cluster."""
-    from ..errors import ConfigurationError
-    from ..scenarios import scenario
-
     try:
         spec = scenario(args.scenario)
     except ConfigurationError as exc:
@@ -695,8 +718,7 @@ def _cluster_command(args) -> int:
         duration_s=args.duration, warmup_s=args.warmup, seed=args.seed
     )
     run_spec = RunSpec(
-        kind="scenario", scenario=spec, settings=settings,
-        label=f"cluster:{spec.name}",
+        scenario=spec, settings=settings, label=f"cluster:{spec.name}"
     )
     with _cache_override(args.no_cache):
         summary = run_grid([run_spec])[0]
@@ -754,7 +776,6 @@ def _cluster_command(args) -> int:
 
 def _soak_command(args) -> int:
     """Run the chaos-soak campaign; print verdicts; exit 1 on failure."""
-    from ..errors import ConfigurationError
     from ..resilience.soak import run_soak
 
     try:
@@ -820,7 +841,6 @@ def _lint_command(args) -> int:
     """Lint the given paths (default: this installed package)."""
     from pathlib import Path
 
-    from ..errors import ConfigurationError
     from ..sanitize import (
         findings_json,
         findings_sarif,
@@ -857,7 +877,7 @@ def _sync_command(args) -> int:
     """Run the hidden-synchronization audit; print the report."""
     from pathlib import Path
 
-    from ..errors import AnalysisError, ConfigurationError
+    from ..errors import AnalysisError
     from ..sanitize import analyze_sync
 
     if args.static_only and args.dynamic_only:
@@ -899,20 +919,13 @@ def _sync_command(args) -> int:
 
 def _profile_command(args) -> int:
     """Profile the experiment's exemplar run; print the report."""
-    from ..errors import ConfigurationError
     from .profile import profile_run
 
-    overrides = dict(EXEMPLARS.get(args.experiment, {}))
-    kind = overrides.pop("kind", "traffic")
     try:
         report = profile_run(
-            kind=kind,
+            resolve_target(args.experiment),
             duration_s=args.duration,
             seed=args.seed,
-            interval_s=overrides.get("interval_s", 8.0),
-            storage=overrides.get("storage", "tmpfs"),
-            initial_l0=overrides.get("initial_l0", "aligned"),
-            mitigation=overrides.get("mitigation"),
             label=f"profile:{args.experiment}",
             with_cprofile=not args.no_cprofile,
             shards=args.shards,
@@ -977,19 +990,21 @@ def _tune_command(args) -> int:
 
 
 def _sanitize_command(args) -> int:
-    """Run the runtime sanitizers on one benchmark; exit 1 on FAIL."""
+    """Run the runtime sanitizers on one scenario; exit 1 on FAIL."""
     from ..sanitize import sanitize_experiment
 
-    report = sanitize_experiment(
-        kind=args.kind,
-        duration_s=args.duration,
-        window_s=args.window,
-        seed=args.seed,
-        interval_s=args.interval,
-        storage=args.storage,
-        perturbations=args.perturbations,
-        shards=args.shards,
-    )
+    try:
+        report = sanitize_experiment(
+            resolve_target(args.experiment),
+            duration_s=args.duration,
+            window_s=args.window,
+            seed=args.seed,
+            perturbations=args.perturbations,
+            shards=args.shards,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         json.dump(report.to_dict(), sys.stdout, indent=2, default=str)
         print()
@@ -1068,13 +1083,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "compare":
+        from dataclasses import replace
+
         from ..core.mitigation import MitigationPlan
 
         settings = ExperimentSettings(
             duration_s=args.duration, warmup_s=args.warmup, seed=args.seed
         )
+        baseline = scenario("baseline_traffic")
         specs = [
-            RunSpec(settings=settings, mitigation=plan, label=name)
+            RunSpec(scenario=replace(baseline, mitigation=plan),
+                    settings=settings, label=name)
             for name, plan in (("baseline", None),
                                ("solution", MitigationPlan.paper_solution()))
         ]

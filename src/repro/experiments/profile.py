@@ -13,7 +13,7 @@ Two complementary views of where a run's wall-clock goes:
   rank suspects; the dispatch histogram and differential wall-clock
   timing decide.
 
-Used by the ``repro profile <experiment>`` CLI and
+Used by the ``repro profile <experiment|scenario>`` CLI and
 :func:`repro.api.profile`, so future hot-spot hunts don't start from
 scratch.
 """
@@ -25,9 +25,10 @@ import io
 import pstats
 from dataclasses import dataclass, field
 from time import perf_counter  # repro: allow[DS101] profiler wall-clock, never model time
-from typing import List, Optional
+from typing import List, Optional, Union
 
-from ..errors import ConfigurationError
+from ..scenarios.run import build_scenario_job, resolve_scenario
+from ..scenarios.spec import ScenarioSpec
 
 __all__ = ["ProfileReport", "profile_run"]
 
@@ -36,6 +37,7 @@ __all__ = ["ProfileReport", "profile_run"]
 class ProfileReport:
     """Profile of one simulation run."""
 
+    #: The profiled scenario's app (``traffic``/``wordcount``/``join``).
     kind: str = "traffic"
     label: str = ""
     duration_s: float = 0.0
@@ -100,61 +102,25 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _build_job(
-    kind: str,
-    interval_s: float,
-    storage: str,
-    initial_l0,
-    mitigation,
-    seed: int,
-    scale: int,
-):
-    from ..apps.traffic_job import build_traffic_job
-    from ..apps.wordcount_job import build_wordcount_job
-    from ..storage.backend import profile_by_name
-
-    profile = profile_by_name(storage)
-    if kind == "wordcount":
-        return build_wordcount_job(
-            commit_interval_s=interval_s,
-            mitigation=mitigation,
-            storage=profile,
-            seed=seed,
-            scale=scale,
-        )
-    if kind == "traffic":
-        return build_traffic_job(
-            checkpoint_interval_s=interval_s,
-            mitigation=mitigation,
-            storage=profile,
-            initial_l0=initial_l0,
-            seed=seed,
-            scale=scale,
-        )
-    raise ConfigurationError(f"unknown profile kind {kind!r}")
-
-
 def profile_run(
-    kind: str = "traffic",
+    scenario: Union[ScenarioSpec, str, dict] = "baseline_traffic",
     duration_s: float = 104.0,
     seed: int = 1,
-    interval_s: float = 8.0,
-    storage: str = "tmpfs",
-    initial_l0="aligned",
-    mitigation=None,
     label: str = "",
     with_cprofile: bool = True,
     shards: int = 1,
     top: int = 50,
 ) -> ProfileReport:
-    """Profile one benchmark run; returns a :class:`ProfileReport`.
+    """Profile one scenario run; returns a :class:`ProfileReport`.
 
-    The run always records the kernel dispatch histogram; *with_cprofile*
-    additionally wraps it in a cProfile pass (slower, function-level).
-    ``shards = G`` profiles the 1/G slice a sharded worker executes.
+    *scenario* is a :class:`ScenarioSpec`, a library name or a
+    serialized dict.  The run always records the kernel dispatch
+    histogram; *with_cprofile* additionally wraps it in a cProfile pass
+    (slower, function-level).  ``shards = G`` profiles the 1/G slice a
+    sharded worker executes.
     """
-    job = _build_job(kind, interval_s, storage, initial_l0, mitigation,
-                     seed, shards)
+    spec = resolve_scenario(scenario)
+    job = build_scenario_job(spec, seed=seed, scale=shards)
     job.sim.enable_dispatch_stats()
     profiler: Optional[cProfile.Profile] = None
     started = perf_counter()  # repro: allow[DS101] profiler wall-clock
@@ -194,8 +160,8 @@ def profile_run(
             })
 
     return ProfileReport(
-        kind=kind,
-        label=label or kind,
+        kind=spec.app,
+        label=label or spec.app,
         duration_s=duration_s,
         seed=seed,
         wall_s=wall,

@@ -37,7 +37,8 @@ class RunSummary:
 
     kind: str = "traffic"
     label: str = ""
-    #: Library/spec scenario name for scenario runs ("" = legacy kind).
+    #: Name of the scenario the run executed ("" when summarized without
+    #: one, e.g. a hand-built job).
     scenario: str = ""
     seed: int = 0
     duration_s: float = 0.0

@@ -58,7 +58,7 @@ class StoreStats:
         self.compaction_input_bytes = 0
         self.memtable_full_flushes = 0
 
-    def as_dict(self) -> dict:
+    def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
 

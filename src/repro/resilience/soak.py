@@ -8,9 +8,9 @@ cache and parallelize like any sweep).  The pipeline under test comes
 from the scenario library: ``kind="library"`` (the default campaign in
 CI) draws a scenario per seed with the seeded sampler from
 :data:`repro.scenarios.SOAK_POOL`, any library scenario name pins that
-scenario for every seed, and the legacy ``"traffic"``/``"wordcount"``
-kinds keep their original ad-hoc pipelines.  Each run's summary is then
-audited:
+scenario for every seed, and ``"traffic"``/``"wordcount"`` are short
+for ``baseline_traffic``/``baseline_wordcount``.  Each run's summary is
+then audited:
 
 * **SLO recovery** — after every fault window the windowed p99.9 must
   return to ``recovery_ratio`` × the pre-fault baseline (the p90 of the
@@ -40,7 +40,7 @@ The verdicts come back as a :class:`SoakReport`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Union
 
 from ..errors import OverloadError
@@ -48,6 +48,12 @@ from ..faults.plan import FaultPlan, load_fault_plan
 from .config import ResilienceConfig
 
 __all__ = ["SoakReport", "run_soak"]
+
+#: The pipelines the ``"traffic"``/``"wordcount"`` soak kinds name.
+_KIND_SCENARIOS = {
+    "traffic": "baseline_traffic",
+    "wordcount": "baseline_wordcount",
+}
 
 #: Invariants whose violation means records were lost or duplicated —
 #: the per-fault-window exactly-once audit checks exactly these.
@@ -68,8 +74,7 @@ class SoakReport:
     recovery_budget_s: float = 25.0
     recovery_ratio: float = 1.5
     queue_limit_messages: float = 300_000.0
-    #: Scenario names actually exercised, one per seed in ``runs`` order
-    #: (empty strings for the legacy ad-hoc kinds).
+    #: Scenario names actually exercised, one per seed in ``runs`` order.
     scenarios: List[str] = field(default_factory=list)
     #: Per-seed verdict dicts (seed, ok, failures, windows, tails, ...).
     runs: List[dict] = field(default_factory=list)
@@ -266,7 +271,6 @@ def run_soak(
     recovery_budget_s: float = 25.0,
     recovery_ratio: float = 1.5,
     queue_limit_messages: float = 300_000.0,
-    interval_s: float = 8.0,
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
 ) -> SoakReport:
@@ -276,9 +280,10 @@ def run_soak(
     scenario per seed from :data:`repro.scenarios.SOAK_POOL` with the
     seeded sampler (deterministic per seed, diverse across seeds), a
     library scenario name (``"windowed_join"``, ``"multi_tenant"``, ...)
-    soaks that scenario for every seed, and the legacy ``"traffic"`` /
-    ``"wordcount"`` kinds keep the original ad-hoc pipelines.  The
-    scenario exercised by each run is recorded in the report.
+    soaks that scenario for every seed, and ``"traffic"`` /
+    ``"wordcount"`` are short for ``baseline_traffic`` /
+    ``baseline_wordcount``.  The scenario exercised by each run is
+    recorded in the report.
 
     With ``random_faults=True`` each seed gets its own
     :meth:`FaultPlan.random` schedule (seeded by that seed), otherwise
@@ -299,10 +304,11 @@ def run_soak(
     drains at the *spare* capacity left while shedding — for the default
     pipeline that is roughly 20 s, hence the 25 s default.
     """
+    from ..cluster.spec import ClusterSpec
     from ..experiments.parallel import RunSpec, run_grid
     from ..experiments.runner import ExperimentSettings
     from ..resilience import load_resilience_config
-    from ..scenarios import SCENARIOS, sample_scenario, scenario
+    from ..scenarios import sample_scenario, scenario
 
     config = load_resilience_config(resilience)
     specs = []
@@ -324,45 +330,20 @@ def run_soak(
         plans[seed] = plan
         if kind == "library":
             spec = sample_scenario(seed)
-        elif kind in SCENARIOS:
-            spec = scenario(kind)
         else:
-            spec = None
-        if spec is not None and cluster and spec.cluster is None:
-            from dataclasses import replace
-
-            from ..cluster.spec import ClusterSpec
-
+            spec = scenario(_KIND_SCENARIOS.get(kind, kind))
+        if cluster and spec.cluster is None:
             spec = replace(spec, cluster=ClusterSpec())
-        if spec is not None:
-            names.append(spec.name)
-            specs.append(
-                RunSpec(
-                    kind="scenario",
-                    scenario=spec,
-                    settings=ExperimentSettings(
-                        duration_s=duration_s, warmup_s=warmup_s, seed=seed
-                    ),
-                    interval_s=spec.interval_s,
-                    faults=plan,
-                    resilience=config,
-                    label=f"soak-{spec.name}-seed{seed}",
-                )
+        names.append(spec.name)
+        specs.append(
+            RunSpec(
+                scenario=replace(spec, faults=plan, resilience=config),
+                settings=ExperimentSettings(
+                    duration_s=duration_s, warmup_s=warmup_s, seed=seed
+                ),
+                label=f"soak-{spec.name if kind == 'library' else kind}-seed{seed}",
             )
-        else:
-            names.append("")
-            specs.append(
-                RunSpec(
-                    kind=kind,
-                    settings=ExperimentSettings(
-                        duration_s=duration_s, warmup_s=warmup_s, seed=seed
-                    ),
-                    interval_s=interval_s,
-                    faults=plan,
-                    resilience=config,
-                    label=f"soak-{kind}-seed{seed}",
-                )
-            )
+        )
     summaries = run_grid(specs, jobs=jobs, cache=cache)
     report = SoakReport(
         kind=kind,

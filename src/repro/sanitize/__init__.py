@@ -19,7 +19,7 @@ shrinking, soak audits):
   rules over the static call graph, and a trace-grounded shadow-sync
   audit (``repro sync`` / :func:`repro.api.analyze_sync`).
 
-:func:`sanitize_experiment` bundles the runtime pair for one benchmark.
+:func:`sanitize_experiment` bundles the runtime pair for one scenario.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ __all__ = [
 @register
 @dataclass
 class SanitizeReport:
-    """Combined runtime-sanitizer verdict for one benchmark run."""
+    """Combined runtime-sanitizer verdict for one scenario run."""
 
+    #: The sanitized scenario's app (``traffic``/``wordcount``/``join``).
     kind: str = "wordcount"
     duration_s: float = 0.0
     window_s: float = 0.0
@@ -179,22 +180,21 @@ class SanitizeReport:
 
 
 def sanitize_experiment(
-    kind: str = "wordcount",
+    scenario="baseline_wordcount",
     duration_s: float = 24.0,
     window_s: float = 2.0,
     seed: int = 1,
-    interval_s: float = 8.0,
-    storage: str = "tmpfs",
-    mitigation=None,
     perturbations: int = 8,
     shards: int = 1,
 ) -> SanitizeReport:
-    """Run the race detector and ordering checks on one benchmark.
+    """Run the race detector and ordering checks on one scenario.
 
-    Executes the benchmark twice (FIFO vs LIFO tie-breaking) with
-    windowed state digests, then checks the baseline run's summary and
-    spec for insertion-order independence.  Cache-free by construction:
-    both runs execute live, so a poisoned cache cannot mask a race.
+    *scenario* is a :class:`~repro.scenarios.spec.ScenarioSpec`, a
+    library name or a serialized dict.  Executes it twice (FIFO vs LIFO
+    tie-breaking) with windowed state digests, then checks the baseline
+    run's summary and spec for insertion-order independence.  Cache-free
+    by construction: both runs execute live, so a poisoned cache cannot
+    mask a race.
 
     ``shards = G`` sanitizes the sharded mode: the probed job is the
     1/G cluster slice a sharded worker executes (see
@@ -204,19 +204,13 @@ def sanitize_experiment(
     from ..experiments.parallel import RunSpec
     from ..experiments.runner import ExperimentSettings
     from ..experiments.summary import summarize_run
-    from .racedetect import experiment_factory
+    from ..scenarios.run import resolve_scenario
 
-    factory = experiment_factory(
-        kind=kind,
-        seed=seed,
-        interval_s=interval_s,
-        storage=storage,
-        mitigation=mitigation,
-        shards=shards,
-    )
+    spec = resolve_scenario(scenario)
+    factory = experiment_factory(spec, seed=seed, shards=shards)
     baseline = run_probe(factory, duration_s, window_s, "fifo")
     perturbed = run_probe(factory, duration_s, window_s, "lifo")
-    label = kind if shards == 1 else f"{kind}/shards={shards}"
+    label = spec.app if shards == 1 else f"{spec.app}/shards={shards}"
     race = diff_probes(
         baseline, perturbed, label=label, duration_s=duration_s
     )
@@ -224,14 +218,14 @@ def sanitize_experiment(
     settings = ExperimentSettings(
         duration_s=duration_s, warmup_s=min(8.0, duration_s / 2), seed=seed
     )
-    spec = RunSpec(kind=kind, settings=settings, interval_s=interval_s,
-                   storage=storage, mitigation=mitigation)
+    run_spec = RunSpec(scenario=spec, settings=settings)
     summary = summarize_run(
-        baseline.result, settings, kind=kind, label=f"sanitize:{kind}"
+        baseline.result, settings, kind="scenario",
+        label=f"sanitize:{spec.name}", scenario=spec.name,
     )
-    ordering = check_ordering(spec, summary, perturbations=perturbations)
+    ordering = check_ordering(run_spec, summary, perturbations=perturbations)
     return SanitizeReport(
-        kind=kind,
+        kind=spec.app,
         duration_s=duration_s,
         window_s=window_s,
         seed=seed,

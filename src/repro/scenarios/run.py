@@ -1,13 +1,11 @@
-"""Building and running scenarios — the unified entry point.
+"""Building and running scenarios — the one job-construction path.
 
 :func:`run_scenario` is the canonical way to execute anything in this
 repo: it accepts a :class:`ScenarioSpec` (or a library name, or a
-serialized dict), assembles the job through the same app builders the
-legacy helpers used, injects the scenario's fault plan and resilience
-config, and runs it.  ``repro.api.run_scenario`` re-exports it;
-``run_traffic``/``run_wordcount`` are deprecated wrappers over it; the
-parallel executor's scenario kind and the sharded path both funnel
-through :func:`execute_scenario`.
+serialized dict) and runs the job :func:`build_scenario_job` assembles.
+Every other entry point — the parallel executor, the sharded path, the
+profiler, the race sanitizer, the soak harness — builds its jobs through
+:func:`build_scenario_job` too.
 """
 
 from __future__ import annotations
@@ -50,14 +48,21 @@ def build_scenario_job(
     tie_break: str = "fifo",
     scale: int = 1,
 ) -> StreamJob:
-    """Assemble the :class:`StreamJob` a scenario describes.
+    """Assemble the :class:`StreamJob` a scenario describes, fully installed.
 
-    Goes through the same app builders as the legacy entry points
-    (:func:`~repro.apps.build_traffic_job` and friends), so a scenario
-    with default workload knobs builds a bit-identical job to the old
-    keyword-soup call.
+    The app builders (:func:`~repro.apps.build_traffic_job` and friends)
+    wire the topology; the scenario's cluster layer, fault plan and
+    resilience config are then installed on top, so the returned job
+    only needs :meth:`StreamJob.run`.  ``scale = G`` builds the 1/G
+    cluster slice a sharded worker executes.
     """
     spec = resolve_scenario(spec)
+    if spec.cluster is not None and scale > 1:
+        raise ConfigurationError(
+            "cluster scenarios cannot be sharded: membership changes and "
+            "partition migrations couple the nodes, so a 1/scale slice is "
+            "not independent; run with scale=1"
+        )
     workload = spec.workload
     common = dict(
         mitigation=spec.mitigation,
@@ -73,23 +78,37 @@ def build_scenario_job(
     if spec.app == "traffic":
         from ..apps.traffic_job import build_traffic_job
 
-        return build_traffic_job(
+        job = build_traffic_job(
             checkpoint_interval_s=spec.interval_s,
             initial_l0=spec.initial_l0,
             **common,
         )
-    if spec.app == "wordcount":
+    elif spec.app == "wordcount":
         from ..apps.wordcount_job import build_wordcount_job
 
-        return build_wordcount_job(commit_interval_s=spec.interval_s, **common)
-    from ..apps.join_job import build_join_job
+        job = build_wordcount_job(commit_interval_s=spec.interval_s, **common)
+    else:
+        from ..apps.join_job import build_join_job
 
-    return build_join_job(
-        checkpoint_interval_s=spec.interval_s,
-        message_rate=workload.steady_rate(),
-        window_s=spec.window_s,
-        **common,
-    )
+        job = build_join_job(
+            checkpoint_interval_s=spec.interval_s,
+            message_rate=workload.steady_rate(),
+            window_s=spec.window_s,
+            **common,
+        )
+    if spec.cluster is not None:
+        from ..cluster import install_cluster
+
+        install_cluster(job, spec.cluster)
+    if spec.faults is not None:
+        from ..faults import inject_faults
+
+        inject_faults(job, spec.faults)
+    if spec.resilience is not None:
+        from ..resilience import install_resilience
+
+        install_resilience(job, spec.resilience)
+    return job
 
 
 def execute_scenario(
@@ -99,58 +118,8 @@ def execute_scenario(
     tie_break: str = "fifo",
     scale: int = 1,
     barrier_s: Optional[float] = None,
-    faults=None,
-    resilience=None,
 ) -> StreamJobResult:
-    """Run one scenario to completion under *settings*.
-
-    ``faults``/``resilience`` override the scenario's own plan/config
-    when given (the soak harness injects its per-seed schedules this
-    way); ``None`` keeps what the scenario declares.
-    """
-    from ..experiments.runner import DEFAULT_SETTINGS
-
-    spec = resolve_scenario(spec)
-    settings = DEFAULT_SETTINGS if settings is None else settings
-    faults = spec.faults if faults is None else faults
-    resilience = spec.resilience if resilience is None else resilience
-    if spec.cluster is not None and scale > 1:
-        raise ConfigurationError(
-            "cluster scenarios cannot be sharded: membership changes and "
-            "partition migrations couple the nodes, so a 1/scale slice is "
-            "not independent; run with scale=1"
-        )
-    job = build_scenario_job(
-        spec,
-        seed=settings.seed,
-        tracer=tracer if tracer is not None else settings.make_tracer(),
-        tie_break=tie_break,
-        scale=scale,
-    )
-    if spec.cluster is not None:
-        from ..cluster import install_cluster
-
-        install_cluster(job, spec.cluster)
-    if faults is not None:
-        from ..faults import inject_faults
-
-        inject_faults(job, faults)
-    if resilience is not None:
-        from ..resilience import install_resilience
-
-        install_resilience(job, resilience)
-    return job.run(settings.duration_s, barrier_s=barrier_s)
-
-
-def run_scenario(
-    spec: Union[ScenarioSpec, str, dict],
-    settings=None,
-    tracer: Optional[Tracer] = None,
-    tie_break: str = "fifo",
-    scale: int = 1,
-    barrier_s: Optional[float] = None,
-) -> StreamJobResult:
-    """The single public entry point: run a scenario, return its result.
+    """Run a scenario to completion and return its result.
 
     *spec* may be a :class:`ScenarioSpec`, a library name
     (``"diurnal_flash"``), or a serialized dict.  Measurement
@@ -159,14 +128,21 @@ def run_scenario(
     defaults when omitted).  ``scale``/``barrier_s`` are the sharded
     execution knobs, as everywhere else.
     """
-    return execute_scenario(
+    from ..experiments.runner import DEFAULT_SETTINGS
+
+    settings = DEFAULT_SETTINGS if settings is None else settings
+    job = build_scenario_job(
         spec,
-        settings=settings,
-        tracer=tracer,
+        seed=settings.seed,
+        tracer=tracer if tracer is not None else settings.make_tracer(),
         tie_break=tie_break,
         scale=scale,
-        barrier_s=barrier_s,
     )
+    return job.run(settings.duration_s, barrier_s=barrier_s)
+
+
+#: The public name of :func:`execute_scenario` (``repro.api.run_scenario``).
+run_scenario = execute_scenario
 
 
 def scenario_shard_unit(spec: Union[ScenarioSpec, str, dict]):

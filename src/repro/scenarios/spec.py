@@ -18,9 +18,12 @@ stay seed-free.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
 
+from ..apps.traffic_job import INITIAL_L0_PRESETS
 from ..cluster.spec import ClusterSpec
 from ..compat import keyword_only
 from ..core.mitigation import MitigationPlan
@@ -43,6 +46,15 @@ ARRIVALS = ("constant", "piecewise", "diurnal", "closed_loop")
 
 #: Supported app topologies.
 APPS = ("traffic", "wordcount", "join")
+
+
+def _finite(value) -> bool:
+    """Whether *value* is a real, finite number (bools and NaN are not)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def _tupled(entries) -> tuple:
@@ -92,8 +104,10 @@ class WorkloadSpec:
         object.__setattr__(self, "schedule", _tupled(self.schedule))
         object.__setattr__(self, "bursts", _tupled(self.bursts))
         object.__setattr__(self, "skew", _tupled(self.skew))
-        if self.rate < 0:
-            raise ConfigurationError("workload rate must be >= 0")
+        if not _finite(self.rate) or self.rate < 0:
+            raise ConfigurationError(
+                f"workload rate must be a finite number >= 0, got {self.rate!r}"
+            )
         if self.arrival == "piecewise" and not self.schedule:
             raise ConfigurationError("piecewise arrival needs a schedule")
         if self.arrival == "closed_loop" and self.clients < 1:
@@ -189,8 +203,13 @@ class ScenarioSpec:
         profile_by_name(self.storage)  # raises on unknown profiles
         if self.tenants < 1:
             raise ConfigurationError("tenants must be >= 1")
-        if self.window_s <= 0:
-            raise ConfigurationError("window_s must be > 0")
+        for name in ("interval_s", "window_s"):
+            value = getattr(self, name)
+            if not _finite(value) or value <= 0:
+                raise ConfigurationError(
+                    f"{name} must be a finite number > 0, got {value!r}"
+                )
+        self._check_initial_l0()
         if isinstance(self.workload, dict):
             object.__setattr__(
                 self, "workload", WorkloadSpec.from_dict(self.workload)
@@ -219,6 +238,24 @@ class ScenarioSpec:
 
             object.__setattr__(
                 self, "cluster", ClusterSpec.from_dict(self.cluster)
+            )
+
+    def _check_initial_l0(self) -> None:
+        phases = self.initial_l0
+        if isinstance(phases, str):
+            valid = phases in INITIAL_L0_PRESETS
+        else:
+            valid = isinstance(phases, Mapping) and all(
+                isinstance(stage, str)
+                and isinstance(phase, int)
+                and not isinstance(phase, bool)
+                and phase >= 0
+                for stage, phase in phases.items()
+            )
+        if not valid:
+            raise ConfigurationError(
+                f"initial_l0 must be a preset {sorted(INITIAL_L0_PRESETS)} "
+                f"or a mapping of stage -> non-negative int, got {phases!r}"
             )
 
     def to_dict(self) -> dict:

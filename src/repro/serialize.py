@@ -1,11 +1,10 @@
 """One serialization protocol for result-shaped objects.
 
-Before this module each result class grew its own ad-hoc ``as_dict``
-(:class:`~repro.metrics.collector.CheckpointStats`,
+Every result-shaped class (:class:`~repro.metrics.collector.CheckpointStats`,
 :class:`~repro.analysis.overlap.OverlapReport`,
 :class:`~repro.experiments.summary.RunSummary`,
-:class:`~repro.experiments.runner.ExperimentSettings`) with no inverse.
-The protocol here is the single supported surface:
+:class:`~repro.experiments.runner.ExperimentSettings`, ...) speaks one
+protocol:
 
 * :func:`to_dict` — JSON-ready plain data for any participating object;
 * :func:`from_dict` — the inverse, accepting either the class or its
@@ -15,8 +14,7 @@ The protocol here is the single supported surface:
 
 Participating classes implement ``to_dict()`` and a ``from_dict(data)``
 classmethod; plain dataclasses get both derived automatically by
-:func:`to_dict`/:func:`from_dict`.  Legacy ``as_dict()`` methods remain
-as thin aliases of ``to_dict()``.
+:func:`to_dict`/:func:`from_dict`.
 """
 
 from __future__ import annotations
@@ -51,13 +49,10 @@ def registered(name: str) -> type:
 def to_dict(obj: Any) -> dict:
     """Plain-data (JSON-ready) form of *obj*.
 
-    Dispatch order: the object's own ``to_dict``, then legacy
-    ``as_dict``, then :func:`dataclasses.asdict` for plain dataclasses.
+    Dispatch order: the object's own ``to_dict``, then
+    :func:`dataclasses.asdict` for plain dataclasses.
     """
     method = getattr(obj, "to_dict", None)
-    if callable(method):
-        return method()
-    method = getattr(obj, "as_dict", None)
     if callable(method):
         return method()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -7,6 +7,7 @@ import pytest
 from repro import api
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import ExperimentSettings
+from repro.scenarios import ScenarioSpec
 
 
 def test_every_declared_export_resolves():
@@ -16,7 +17,7 @@ def test_every_declared_export_resolves():
 
 def test_facade_covers_the_advertised_surface():
     expected = {
-        "run_traffic", "run_wordcount", "sweep", "run_grid",
+        "run_scenario", "ScenarioSpec", "sweep", "run_grid",
         "ExperimentSettings", "RunSpec", "RunSummary", "MitigationPlan",
         "Tracer", "NullTracer", "build_traffic_job", "build_wordcount_job",
         "analyze_result", "analyze_summary", "analyze_trace",
@@ -27,9 +28,10 @@ def test_facade_covers_the_advertised_surface():
 
 def test_facade_reexports_are_the_implementation_objects():
     from repro.experiments import runner
+    from repro.scenarios import run
     from repro.trace import Tracer
 
-    assert api.run_traffic is runner.run_traffic
+    assert api.run_scenario is run.run_scenario
     assert api.ExperimentSettings is runner.ExperimentSettings
     assert api.Tracer is Tracer
 
@@ -39,12 +41,14 @@ def test_facade_reexports_are_the_implementation_objects():
 # ----------------------------------------------------------------------
 
 
-def test_settings_positional_args_warn_but_map_in_field_order():
-    with pytest.warns(DeprecationWarning):
-        settings = ExperimentSettings(120.0, 30.0, 5)
-    assert settings.duration_s == 120.0
-    assert settings.warmup_s == 30.0
-    assert settings.seed == 5
+def test_positional_args_raise_type_error():
+    for cls, args in (
+        (ExperimentSettings, (120.0, 30.0, 5)),
+        (RunSpec, ("baseline_wordcount",)),
+        (ScenarioSpec, ("custom",)),
+    ):
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args)
 
 
 def test_settings_keyword_args_do_not_warn():
@@ -53,21 +57,3 @@ def test_settings_keyword_args_do_not_warn():
         settings = ExperimentSettings(duration_s=120.0, warmup_s=30.0)
         settings.with_seed(9)
         settings.seed_series(3)
-
-
-def test_runspec_positional_args_warn():
-    with pytest.warns(DeprecationWarning):
-        spec = RunSpec("wordcount")
-    assert spec.kind == "wordcount"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        RunSpec(kind="traffic", interval_s=16.0).with_seed(3)
-
-
-def test_positional_duplicate_and_overflow_raise():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError):
-            ExperimentSettings(120.0, duration_s=100.0)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError):
-            ExperimentSettings(*range(10))

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.experiments.cli import EXPERIMENTS, build_parser, main
+from repro.errors import ConfigurationError
+from repro.experiments.cli import EXPERIMENTS, build_parser, main, resolve_target
+from repro.scenarios import scenario
 
 
 def test_every_figure_has_a_cli_name():
@@ -115,6 +117,29 @@ def test_trace_command_writes_trace_and_report(capsys, tmp_path):
     events = read_jsonl(out_path)
     assert any(e.ph == "X" and e.cat == "flush" for e in events)
     assert any(e.cat == "latency" for e in events)
+
+
+def test_targets_resolve_to_exemplars_or_library_scenarios():
+    assert resolve_target("fig8") == scenario("baseline_traffic")
+    assert resolve_target("fig12") == scenario("baseline_traffic")
+    scheduled = resolve_target("fig1")
+    assert (scheduled.interval_s, scheduled.initial_l0) == (16.0, "staggered")
+    assert resolve_target("fig17") == scenario("baseline_wordcount")
+    nvme = resolve_target("fig20")
+    assert (nvme.app, nvme.storage) == ("wordcount", "nvme")
+    assert resolve_target("windowed_join") == scenario("windowed_join")
+    with pytest.raises(ConfigurationError):
+        resolve_target("fig99")
+
+
+def test_trace_command_accepts_library_scenarios(capsys, tmp_path):
+    out_path = tmp_path / "join.trace.jsonl"
+    assert main(["trace", "windowed_join", "--duration", "20", "--warmup",
+                 "5", "--no-cache", "--out", str(out_path)]) == 0
+    assert "(join run," in capsys.readouterr().out
+    assert out_path.exists()
+    assert main(["trace", "fig99"]) == 2
+    assert "unknown target" in capsys.readouterr().err
 
 
 def test_trace_command_chrome_format(capsys, tmp_path):

@@ -18,6 +18,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import ExperimentSettings
 from repro.faults import FaultPlan, FaultSpec
+from repro.scenarios import scenario
 
 SHORT = ExperimentSettings(duration_s=25.0, warmup_s=8.0, seed=11)
 
@@ -61,12 +62,11 @@ def test_miss_on_changed_seed(cache_root):
 
 def test_miss_on_changed_config(cache_root):
     base = RunSpec(settings=SHORT)
-    assert spec_cache_key(base) != spec_cache_key(
-        dataclasses.replace(base, interval_s=16.0)
-    )
-    assert spec_cache_key(base) != spec_cache_key(
-        dataclasses.replace(base, storage="nvme")
-    )
+    for change in ({"interval_s": 16.0}, {"storage": "nvme"}):
+        changed = dataclasses.replace(base.scenario, **change)
+        assert spec_cache_key(base) != spec_cache_key(
+            dataclasses.replace(base, scenario=changed)
+        )
     longer = dataclasses.replace(
         base, settings=dataclasses.replace(SHORT, duration_s=50.0)
     )
@@ -129,12 +129,16 @@ def test_clear_cache(cache_root):
 # ----------------------------------------------------------------------
 
 
+def _faulted(plan, label=""):
+    return RunSpec(scenario=scenario("baseline_traffic").with_faults(plan),
+                   settings=SHORT, label=label)
+
+
 def test_fault_plan_changes_the_cache_key():
     clean = RunSpec(settings=SHORT)
-    faulted = dataclasses.replace(clean, faults=CRASH_PLAN)
-    other = dataclasses.replace(
-        clean,
-        faults=FaultPlan(name="other", faults=(
+    faulted = _faulted(CRASH_PLAN)
+    other = _faulted(
+        FaultPlan(name="other", faults=(
             FaultSpec(kind="flush_stall", at_s=12.0, duration_s=2.0, node=0),
         )),
     )
@@ -144,15 +148,13 @@ def test_fault_plan_changes_the_cache_key():
 
 
 def test_fault_spec_accepts_plan_as_dict():
-    spec = RunSpec(settings=SHORT, faults=CRASH_PLAN.to_dict())
-    assert spec.faults == CRASH_PLAN
-    assert spec_cache_key(spec) == spec_cache_key(
-        RunSpec(settings=SHORT, faults=CRASH_PLAN)
-    )
+    spec = _faulted(CRASH_PLAN.to_dict())
+    assert spec.scenario.faults == CRASH_PLAN
+    assert spec_cache_key(spec) == spec_cache_key(_faulted(CRASH_PLAN))
 
 
 def test_faulted_run_is_byte_identical_across_reruns(cache_root):
-    spec = RunSpec(settings=SHORT, faults=CRASH_PLAN, label="determinism")
+    spec = _faulted(CRASH_PLAN, label="determinism")
     first = run_grid([spec], cache=False)[0]
     second = run_grid([spec], cache=False)[0]
     assert canonical(first) == canonical(second)
@@ -161,7 +163,7 @@ def test_faulted_run_is_byte_identical_across_reruns(cache_root):
 
 
 def test_faulted_run_round_trips_through_the_cache(cache_root, monkeypatch):
-    spec = RunSpec(settings=SHORT, faults=CRASH_PLAN)
+    spec = _faulted(CRASH_PLAN)
     fresh = run_grid([spec], cache_directory=cache_root)[0]
 
     def boom(_spec):
@@ -174,7 +176,7 @@ def test_faulted_run_round_trips_through_the_cache(cache_root, monkeypatch):
 
 @pytest.mark.slow
 def test_faulted_run_identical_serial_and_parallel(cache_root):
-    spec = RunSpec(settings=SHORT, faults=CRASH_PLAN)
+    spec = _faulted(CRASH_PLAN)
     serial = run_grid([spec, spec.with_seed(12)], cache=False, jobs=1)
     parallel = run_grid([spec, spec.with_seed(12)], cache=False, jobs=2)
     assert [canonical(s) for s in serial] == [canonical(s) for s in parallel]

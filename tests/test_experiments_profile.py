@@ -35,11 +35,11 @@ def test_profile_run_with_cprofile_names_known_hotspots():
 
 
 def test_profile_run_wordcount_and_shards():
-    report = profile_run(kind="wordcount", duration_s=12.0,
+    report = profile_run("baseline_wordcount", duration_s=12.0,
                          with_cprofile=False, shards=2)
     assert report.kind == "wordcount" and report.events > 0
     with pytest.raises(ConfigurationError):
-        profile_run(kind="nosuch", duration_s=4.0)
+        profile_run("nosuch", duration_s=4.0)
     with pytest.raises(ConfigurationError):
         profile_run(duration_s=4.0, shards=3)  # 4 nodes % 3 != 0
 
@@ -66,6 +66,15 @@ def test_cli_profile_json(capsys):
                  "--no-cprofile"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["kind"] == "wordcount" and data["events"] > 0
+
+
+def test_cli_profile_accepts_library_scenarios(capsys):
+    assert main(["profile", "windowed_join", "--duration", "4", "--json",
+                 "--no-cprofile"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["kind"] == "join" and data["label"] == "profile:windowed_join"
+    assert main(["profile", "no_such_target", "--duration", "4"]) == 2
+    assert "unknown target" in capsys.readouterr().err
 
 
 def test_cli_profile_rejects_bad_shards(capsys):

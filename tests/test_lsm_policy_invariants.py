@@ -180,7 +180,7 @@ def test_byte_identical_reruns(policy):
         store = make_store(policy)
         model, picks = apply_ops(store, ops)
         runs.append((model, picks, sorted(store.scan()),
-                     store.stats.as_dict(), store.policy.describe()))
+                     store.stats.to_dict(), store.policy.describe()))
     assert runs[0] == runs[1]
 
 

@@ -172,7 +172,7 @@ def test_stats_track_operations():
     store.put(b"b", b"2")
     flush(store)
     compact_all(store)
-    stats = store.stats.as_dict()
+    stats = store.stats.to_dict()
     assert stats["puts"] == 2
     assert stats["gets"] == 1
     assert stats["deletes"] == 1

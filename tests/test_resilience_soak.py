@@ -87,14 +87,16 @@ def test_empty_soak_report_is_vacuously_ok():
 
 
 def test_cache_key_distinguishes_resilience_configs():
+    from dataclasses import replace
+
     from repro.experiments.parallel import RunSpec, spec_cache_key
     from repro.experiments.runner import ExperimentSettings
+    from repro.scenarios import scenario
 
     def spec(resilience):
         return RunSpec(
-            kind="traffic",
+            scenario=replace(scenario("baseline_traffic"), resilience=resilience),
             settings=ExperimentSettings(duration_s=30.0, warmup_s=5.0, seed=1),
-            resilience=resilience,
         )
 
     unguarded = spec_cache_key(spec(None))
@@ -172,11 +174,12 @@ def test_pinned_scenario_soak_uses_that_scenario():
     assert run["ok"]
 
 
-def test_legacy_kind_soak_keeps_empty_scenario_names():
+def test_traffic_kind_soak_runs_the_baseline_scenario():
     report = short_soak()
-    assert report.scenarios == [""]
+    assert report.scenarios == ["baseline_traffic"]
     (run,) = report.runs
-    assert run["scenario"] == ""
+    assert run["scenario"] == "baseline_traffic"
+    assert run["label"] == "soak-traffic-seed5"
 
 
 def test_soak_rejects_unknown_kind():

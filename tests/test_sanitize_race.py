@@ -1,6 +1,7 @@
 """Runtime sanitizer tests: race detection and ordering checks."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -145,13 +146,13 @@ def test_reorder_preserves_content():
 
 
 def test_cache_key_stability_for_real_spec():
-    spec = RunSpec(kind="wordcount",
+    spec = RunSpec(scenario="baseline_wordcount",
                    settings=ExperimentSettings(duration_s=16.0, seed=3))
     check = check_cache_key_stability(spec, perturbations=6)
     assert check.ok
     assert check.perturbations == 6
     assert spec_cache_key(spec) == spec_cache_key(
-        RunSpec(kind="wordcount",
+        RunSpec(scenario="baseline_wordcount",
                 settings=ExperimentSettings(duration_s=16.0, seed=3)))
 
 
@@ -183,7 +184,7 @@ def test_order_dependent_serialization_is_caught():
 
 
 def test_wordcount_headline_run_is_sanitize_clean():
-    report = sanitize_experiment(kind="wordcount", duration_s=16.0,
+    report = sanitize_experiment("baseline_wordcount", duration_s=16.0,
                                  window_s=2.0, seed=1)
     assert report.ok, report.render()
     assert report.race.ok and report.race.windows == 8
@@ -206,8 +207,14 @@ def test_cli_sanitize_command(capsys):
     assert "sanitize: PASS" in out
     assert main(["sanitize", "--duration", "8", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["ok"] is True
+    assert report["ok"] is True and report["kind"] == "wordcount"
     assert report["race"]["divergent_windows"] == 0
+    # an experiment name probes its exemplar: fig19 is traffic on NVMe
+    assert main(["sanitize", "fig19", "--duration", "4", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True and report["kind"] == "traffic"
+    assert main(["sanitize", "no_such_target", "--duration", "4"]) == 2
+    assert "unknown target" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -217,15 +224,15 @@ def test_cli_sanitize_command(capsys):
 
 from repro.core.mitigation import MitigationPlan  # noqa: E402
 from repro.lsm import policy_names  # noqa: E402
+from repro.scenarios import scenario  # noqa: E402
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("policy", policy_names())
 def test_policy_matrix_is_sanitize_clean(policy):
     """Schedule perturbation finds no divergence under any zoo policy."""
-    report = sanitize_experiment(
-        kind="wordcount", duration_s=16.0, window_s=2.0, seed=1,
-        mitigation=MitigationPlan(compaction_policy=policy),
-    )
+    spec = replace(scenario("baseline_wordcount"),
+                   mitigation=MitigationPlan(compaction_policy=policy))
+    report = sanitize_experiment(spec, duration_s=16.0, window_s=2.0, seed=1)
     assert report.ok, report.render()
     assert report.race.events_fired[0] == report.race.events_fired[1]

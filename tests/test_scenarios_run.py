@@ -1,20 +1,17 @@
 """Behavioural tests for the unified scenario path: job wiring, the new
-arrival sources, tenancy, legacy-wrapper equivalence and the
-windowed-join exactly-once invariants under a crash-and-restore plan."""
-
-import warnings
+arrival sources, tenancy, equivalence with the direct app builders, the
+profiler and sanitizer on every app, and the windowed-join exactly-once
+invariants under a crash-and-restore plan."""
 
 import pytest
 
 from repro.apps.join_job import JOIN_STAGES, build_join_job
 from repro.apps.tenancy import tenant_initial_l0, tenantize
+from repro.apps.traffic_job import build_traffic_job
+from repro.apps.wordcount_job import build_wordcount_job
 from repro.errors import ConfigurationError
-from repro.experiments.runner import (
-    ExperimentSettings,
-    legacy_scenario,
-    run_traffic,
-    run_wordcount,
-)
+from repro.experiments.profile import profile_run
+from repro.experiments.runner import ExperimentSettings
 from repro.faults import FaultPlan, FaultSpec
 from repro.scenarios import (
     ScenarioSpec,
@@ -25,6 +22,7 @@ from repro.scenarios import (
     scenario,
     scenario_shard_unit,
 )
+from repro.sanitize import digest_hash, sanitize_experiment, state_digest
 from repro.scenarios.run import execute_scenario
 from repro.stream.sources import (
     ClosedLoopSource,
@@ -188,30 +186,43 @@ def test_scenario_own_faults_apply_and_override_wins():
     assert [e["kind"] for e in result.job.fault_injector.events] == [
         "worker_crash"
     ]
-    # an explicit override replaces the scenario's own plan
+    # with_faults on a faulted scenario replaces its plan
     stall = FaultPlan(name="stall", faults=(
         FaultSpec(kind="flush_stall", at_s=15.0, duration_s=2.0, node=0),
     ))
-    overridden = execute_scenario(spec, settings=QUICK, faults=stall)
+    overridden = execute_scenario(spec.with_faults(stall), settings=QUICK)
     assert [e["kind"] for e in overridden.job.fault_injector.events] == [
         "flush_stall"
     ]
 
 
-def test_legacy_wrappers_are_deprecated_but_equivalent():
-    with pytest.deprecated_call():
-        legacy = run_traffic(settings=QUICK)
-    spec = legacy_scenario("traffic")
-    unified = execute_scenario(spec, settings=QUICK)
-    assert (legacy.tail_summary(start=10.0)
-            == unified.tail_summary(start=10.0))
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+@pytest.mark.parametrize("app", ["traffic", "wordcount"])
+def test_scenario_job_matches_the_app_builder(app, tie_break, scale):
+    """``build_scenario_job`` on a baseline scenario builds the very job
+    the direct app builder does: equal state digests after a run."""
+    builder = build_traffic_job if app == "traffic" else build_wordcount_job
+    direct = builder(seed=5, tie_break=tie_break, scale=scale)
+    via_spec = build_scenario_job(
+        f"baseline_{app}", seed=5, tie_break=tie_break, scale=scale
+    )
+    direct.run(16.0)
+    via_spec.run(16.0)
+    assert digest_hash(state_digest(via_spec)) == digest_hash(
+        state_digest(direct)
+    )
 
 
-def test_run_wordcount_warns_once_per_call():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_wordcount(settings=QUICK)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+@pytest.mark.parametrize("name", ["windowed_join", "multi_tenant"])
+def test_profile_and_sanitize_reach_every_app(name):
+    spec = scenario(name)
+    report = profile_run(name, duration_s=4.0, with_cprofile=False)
+    assert report.kind == spec.app and report.events > 0
+    sanitized = sanitize_experiment(name, duration_s=4.0, window_s=2.0,
+                                    perturbations=1)
+    assert sanitized.kind == spec.app
+    assert sanitized.race.windows == 2 and sanitized.ok
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +239,7 @@ def test_windowed_join_exactly_once_under_crash():
     ))
     spec = scenario("windowed_join")
     settings = ExperimentSettings(duration_s=60.0, warmup_s=10.0, seed=7)
-    result = execute_scenario(spec, settings=settings, faults=crash)
+    result = execute_scenario(spec.with_faults(crash), settings=settings)
     job = result.job
     (event,) = job.fault_injector.events
     assert event["kind"] == "worker_crash"

@@ -62,6 +62,27 @@ def test_scenario_rejects_bad_tenants():
         ScenarioSpec(tenants=0)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("interval_s", {"interval_s": float("nan")}),
+    ("interval_s", {"interval_s": -1.0}),
+    ("interval_s", {"interval_s": float("inf")}),
+    ("initial_l0", {"initial_l0": -1}),
+    ("initial_l0", {"initial_l0": "sideways"}),
+    ("initial_l0", {"initial_l0": {"s0": -2}}),
+    ("rate", {"workload": {"rate": float("nan")}}),
+    ("window_s", {"window_s": float("nan")}),
+])
+def test_malformed_scenario_fails_at_construction(field, kwargs):
+    """Values that used to pass construction and crash mid-run (a raw
+    NaN-to-int ValueError, an AttributeError on a negative L0 phase)
+    are rejected up front with an error naming the field — including
+    through the dict form the CLI and the cache revive."""
+    with pytest.raises(ConfigurationError, match=field):
+        ScenarioSpec(**kwargs)
+    with pytest.raises(ConfigurationError, match=field):
+        RunSpec(scenario=kwargs)
+
+
 def test_scenario_coerces_nested_dicts():
     spec = ScenarioSpec(
         app="traffic",
@@ -156,14 +177,15 @@ def test_workload_change_changes_the_key():
 
 def test_runspec_scenario_key_is_stable_and_distinct():
     settings = ExperimentSettings(duration_s=10.0, warmup_s=2.0, seed=1)
-    a = RunSpec(kind="scenario", scenario=scenario("baseline_traffic"),
-                settings=settings)
-    b = RunSpec(kind="scenario", scenario=scenario("windowed_join"),
-                settings=settings)
+    a = RunSpec(scenario=scenario("baseline_traffic"), settings=settings)
+    b = RunSpec(scenario=scenario("windowed_join"), settings=settings)
     assert a.key_dict() != b.key_dict()
-    # legacy specs keep their historical key shape: no scenario entry
-    legacy = RunSpec(kind="traffic", settings=settings)
-    assert "scenario" not in legacy.key_dict()
+    # the name is presentation: a renamed copy shares the library address
+    renamed = RunSpec(scenario=replace(scenario("baseline_traffic"), name="x"),
+                      settings=settings)
+    assert renamed.key_dict() == a.key_dict()
+    assert a.key_dict() == {"settings": settings.to_dict(),
+                            "scenario": scenario("baseline_traffic").key_dict()}
 
 
 # ----------------------------------------------------------------------
