@@ -24,7 +24,6 @@ from .core import (
     OnlineAutoTuner,
     SilkPolicy,
     RandomizedL0Trigger,
-    ShadowSyncDetector,
     estimate_drain_time,
     recommend_compaction_threads,
     recommend_flush_threads,
@@ -47,7 +46,6 @@ __all__ = [
     "OnlineAutoTuner",
     "SilkPolicy",
     "RandomizedL0Trigger",
-    "ShadowSyncDetector",
     "estimate_drain_time",
     "recommend_compaction_threads",
     "recommend_flush_threads",

@@ -25,7 +25,7 @@ Three entry points cover the three places evidence lives:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,8 @@ __all__ = [
 
 #: Alignment score above which a run reads as statistical ShadowSync.
 STATISTICAL_ALIGNMENT = 0.8
+#: Blame windows: source -> ``(label, start, end)`` windows.
+BlameWindows = Mapping[str, Sequence[Tuple[str, float, float]]]
 #: Default spike-threshold rule shared with the figure scripts.
 SPIKE_FLOOR_S = 0.8
 SPIKE_MEDIAN_FACTOR = 2.5
@@ -73,24 +75,16 @@ class SpikeAttribution:
     attributed: bool = False
     #: "scheduled" | "statistical" | "unattributed"
     classification: str = "unattributed"
-    #: Injected-fault windows (``kind@node``) overlapping this spike —
-    #: distinguishes ShadowSync spikes from fault-induced ones.
-    faults: List[str] = field(default_factory=list)
-    #: Resilience-action windows (``degraded``, ``load-shed``) the spike
-    #: fell into — spikes inside a degraded window are the overload the
-    #: guard was already reacting to, not new hidden synchronization.
-    resilience: List[str] = field(default_factory=list)
     #: Compaction/scheduling policies of the compactions inside the
     #: window — distinguishes mitigation-zoo members in the blame.
     policies: List[str] = field(default_factory=list)
-    #: Cluster-layer windows (``rebalance:...``, ``failover:...``,
-    #: ``scale-in:...``) overlapping the spike — elastic churn is a
-    #: *known* synchronization source, not hidden ShadowSync.
-    cluster: List[str] = field(default_factory=list)
-    #: Wait-for-graph sync-edge kinds (``checkpoint-barrier``,
-    #: ``compaction-during-checkpoint``, ...) whose blocked windows
-    #: overlap the spike — the shadow-sync audit's blame channel.
-    sync: List[str] = field(default_factory=list)
+    #: Labels of the blame windows overlapping the spike, by source —
+    #: ``fault`` (``kind@node``), ``resilience`` (``degraded``,
+    #: ``load-shed``), ``cluster`` (``rebalance:...``), ``sync``
+    #: (wait-for-graph edge kinds) or any other key passed to
+    #: :func:`detect`.  Only sources with an overlapping label appear;
+    #: labels are sorted.
+    blame: Dict[str, List[str]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -105,22 +99,15 @@ class SpikeAttribution:
             "stages": list(self.stages),
             "attributed": self.attributed,
             "classification": self.classification,
-            "faults": list(self.faults),
-            "resilience": list(self.resilience),
             "policies": list(self.policies),
-            "cluster": list(self.cluster),
-            "sync": list(self.sync),
+            "blame": {source: list(labels) for source, labels in self.blame.items()},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> SpikeAttribution:
         data = dict(data)
         data["window"] = tuple(data["window"])
-        data.setdefault("faults", [])
-        data.setdefault("resilience", [])
         data.setdefault("policies", [])
-        data.setdefault("cluster", [])
-        data.setdefault("sync", [])
         return cls(**data)
 
 
@@ -209,10 +196,7 @@ def detect(
     capacity: Optional[float] = None,
     checkpoint_times: Sequence[float] = (),
     per_checkpoint: Optional[Dict[int, Dict[str, int]]] = None,
-    fault_windows: Sequence[Tuple[str, float, float]] = (),
-    resilience_windows: Sequence[Tuple[str, float, float]] = (),
-    cluster_windows: Sequence[Tuple[str, float, float]] = (),
-    sync_windows: Sequence[Tuple[str, float, float]] = (),
+    windows: Optional[BlameWindows] = None,
     threshold: Optional[float] = None,
     pad_s: float = 1.0,
     saturation: float = 0.95,
@@ -225,7 +209,9 @@ def detect(
     flush/compaction concurrency arrays on *concurrency_times*.  When a
     CPU :class:`StepSeries` (and its *capacity*) is given, spikes whose
     window never saturates the CPU stay unattributed and the report
-    carries the run's saturation windows.
+    carries the run's saturation windows.  *windows* maps each blame
+    source to its labelled windows; a spike lists the labels it overlaps
+    in :attr:`SpikeAttribution.blame`.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(p999, dtype=float)
@@ -259,8 +245,12 @@ def detect(
 
     for spike in find_spikes(t, v, threshold, min_gap=min_gap):
         # Latency at time τ reflects work queued up to a flush/compaction
-        # burst slightly earlier, so look at a padded window.
+        # burst slightly earlier, so look at a padded window — reaching
+        # back at least to the checkpoint trigger that began the burst.
         w0 = spike.start - pad_s
+        trigger = _checkpoint_index(checkpoint_times, spike.start)
+        if trigger >= 0:
+            w0 = min(w0, float(checkpoint_times[trigger]))
         w1 = spike.end + pad_s
         n_flush = n_comp = 0
         overlap_s = 0.0
@@ -298,18 +288,11 @@ def detect(
                 if count > 0
             )
 
-        fault_labels = sorted(
-            {name for name, fs, fe in fault_windows if fs <= w1 and fe >= w0}
-        )
-        resilience_labels = sorted(
-            {name for name, rs, re in resilience_windows if rs <= w1 and re >= w0}
-        )
-        cluster_labels = sorted(
-            {name for name, cs, ce in cluster_windows if cs <= w1 and ce >= w0}
-        )
-        sync_labels = sorted(
-            {name for name, ss, se in sync_windows if ss <= w1 and se >= w0}
-        )
+        blame: Dict[str, List[str]] = {}
+        for source in sorted(windows or {}):
+            labels = {label for label, ws, we in windows[source] if ws <= w1 and we >= w0}
+            if labels:
+                blame[source] = sorted(labels)
 
         attributed = (
             n_flush > 0
@@ -337,11 +320,8 @@ def detect(
                 stages=stages,
                 attributed=attributed,
                 classification=classification,
-                faults=fault_labels,
-                resilience=resilience_labels,
                 policies=policies,
-                cluster=cluster_labels,
-                sync=sync_labels,
+                blame=blame,
             )
         )
 
@@ -383,11 +363,6 @@ def analyze_result(
     )
     kwargs.setdefault("cpu", result.cpu_series(None))
     kwargs.setdefault("capacity", result.job.cluster.cores_per_node)
-    injector = getattr(result.job, "fault_injector", None)
-    if injector is not None:
-        kwargs.setdefault("fault_windows", list(injector.windows))
-    kwargs.setdefault("resilience_windows", result.resilience_windows)
-    kwargs.setdefault("cluster_windows", result.cluster_windows)
     return detect(
         times,
         p999,
@@ -395,6 +370,7 @@ def analyze_result(
         spans=result.spans,
         checkpoint_times=checkpoints,
         per_checkpoint=per_checkpoint,
+        windows={**result.blame_windows, **kwargs.pop("windows", {})},
         **kwargs,
     )
 
@@ -405,29 +381,25 @@ def analyze_summary(summary, **kwargs) -> MillibottleneckReport:
     Summaries carry no CPU series, so attribution relies on span
     concurrency alone (``cpu_saturated_fraction`` stays ``None``).
     """
-    fault_windows = [
-        (f"{e['kind']}@{e['node']}", e["start"], e["end"])
-        for e in getattr(summary, "fault_events", [])
-        if e.get("end") is not None
-    ]
-    kwargs.setdefault("fault_windows", fault_windows)
     resilience = getattr(summary, "resilience", None) or {}
-    resilience_windows = [
-        (mode, start, end)
-        for mode, start, end in resilience.get("mode_windows", [])
-        if end is not None
-    ]
-    resilience_windows.extend(
-        ("load-shed", start, end)
-        for start, end in (resilience.get("shed") or {}).get("windows", [])
-        if end is not None
-    )
-    kwargs.setdefault("resilience_windows", resilience_windows)
     cluster = getattr(summary, "cluster", None) or {}
-    kwargs.setdefault(
-        "cluster_windows",
-        [(label, start, end) for label, start, end in cluster.get("windows", [])],
-    )
+    windows = {
+        "fault": [
+            (f"{e['kind']}@{e['node']}", e["start"], e["end"])
+            for e in getattr(summary, "fault_events", [])
+            if e.get("end") is not None
+        ],
+        "resilience": [
+            (mode, start, end)
+            for mode, start, end in resilience.get("mode_windows", [])
+            if end is not None
+        ] + [
+            ("load-shed", start, end)
+            for start, end in (resilience.get("shed") or {}).get("windows", [])
+            if end is not None
+        ],
+        "cluster": cluster.get("windows", []),
+    }
     return detect(
         summary.fine_times,
         summary.fine_p999,
@@ -437,6 +409,7 @@ def analyze_summary(summary, **kwargs) -> MillibottleneckReport:
         compaction_concurrency=summary.compaction_concurrency,
         checkpoint_times=summary.checkpoint_times,
         per_checkpoint=summary.per_checkpoint_compactions or None,
+        windows={**windows, **kwargs.pop("windows", {})},
         **kwargs,
     )
 
@@ -512,16 +485,17 @@ def analyze_trace(
     )
     cpu_t, cpu_v = _counter_track(events, "cpu", mean_over_tids=True)
     cpu = StepSeries(zip(cpu_t, cpu_v)) if len(cpu_t) and capacity else None
-    fault_windows = [
-        (
-            f"{e.args.get('kind', 'fault')}@{e.tid}",
-            e.ts,
-            e.ts + float(e.args.get("duration_s", 0.0) or 0.0),
-        )
-        for e in events
-        if e.ph == "i" and e.cat == "fault" and e.name == "fault-inject"
-    ]
-    kwargs.setdefault("fault_windows", fault_windows)
+    windows = {
+        "fault": [
+            (
+                f"{e.args.get('kind', 'fault')}@{e.tid}",
+                e.ts,
+                e.ts + float(e.args.get("duration_s", 0.0) or 0.0),
+            )
+            for e in events
+            if e.ph == "i" and e.cat == "fault" and e.name == "fault-inject"
+        ],
+    }
     return detect(
         lat_t,
         lat_v,
@@ -531,5 +505,6 @@ def analyze_trace(
         capacity=capacity if cpu is not None else None,
         checkpoint_times=checkpoints,
         per_checkpoint=per_checkpoint,
+        windows={**windows, **kwargs.pop("windows", {})},
         **kwargs,
     )

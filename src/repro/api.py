@@ -47,7 +47,6 @@ from .config import CheckpointConfig, ClusterConfig, CostModel
 from .core import (
     MitigationPlan,
     OnlineAutoTuner,
-    ShadowSyncDetector,
     TunedConfig,
     TuneReport,
     estimate_drain_time,
@@ -204,7 +203,6 @@ __all__ = [
     "policy_names",
     "register_policy",
     # diagnosis & tuning
-    "ShadowSyncDetector",
     "OnlineAutoTuner",
     "estimate_drain_time",
     "recommend_flush_threads",

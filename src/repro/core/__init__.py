@@ -7,7 +7,6 @@ from .allocation import (
 )
 from .autotuner import OnlineAutoTuner, TunedConfig, TuneReport, tune
 from .delay import DelayedCompactionPolicy, estimate_drain_time
-from .detector import ShadowSyncDetector, ShadowSyncFinding
 from .mitigation import MitigationPlan
 from .silk import SilkPolicy, install_silk_pauses
 from .thresholds import RandomizedL0Trigger, StaticL0Trigger
@@ -22,8 +21,6 @@ __all__ = [
     "tune",
     "DelayedCompactionPolicy",
     "estimate_drain_time",
-    "ShadowSyncDetector",
-    "ShadowSyncFinding",
     "MitigationPlan",
     "SilkPolicy",
     "install_silk_pauses",

@@ -219,20 +219,19 @@ def analyze_sync(
     if events is not None:
         edges = extract_wait_graph(events)
         edges, shadows = diff_against_catalog(edges)
-        windows = sync_windows(edges)
         from ...analysis.millibottleneck import analyze_trace
 
         try:
             mb = analyze_trace(
                 list(events),
                 threshold=spike_threshold,
-                sync_windows=windows,
+                windows={"sync": sync_windows(edges)},
             )
         except AnalysisError:
             mb = None  # trace without a latency track: edges still stand
         if mb is not None:
             spike_count = len(mb.spikes)
-            sync_spikes = sum(1 for s in mb.spikes if s.sync)
+            sync_spikes = sum(1 for s in mb.spikes if "sync" in s.blame)
             attribute_spikes(edges, [s.window for s in mb.spikes])
 
     return SyncAuditReport(

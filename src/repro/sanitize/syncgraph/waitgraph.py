@@ -232,8 +232,8 @@ def diff_against_catalog(
 def sync_windows(
     edges: Sequence[SyncEdge],
 ) -> List[Tuple[str, float, float]]:
-    """``(kind, start, end)`` labeled windows for the millibottleneck
-    detector's ``sync_windows`` attribution input."""
+    """``(kind, start, end)`` labeled windows: the millibottleneck
+    detector's ``sync`` blame source."""
     labeled: List[Tuple[str, float, float]] = []
     for edge in edges:
         for start, end in edge.windows:

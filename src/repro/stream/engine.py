@@ -926,22 +926,27 @@ class StreamJobResult:
         return None if controller is None else controller.report()
 
     @property
-    def resilience_windows(self) -> List[tuple]:
-        """``(label, start, end)`` degraded/shedding spans (attribution)."""
-        controller = self.job.resilience
-        return [] if controller is None else list(controller.windows)
-
-    @property
     def cluster_report(self) -> Optional[dict]:
         """The cluster layer's digest, or ``None`` when disabled."""
         manager = self.job.cluster_manager
         return None if manager is None else manager.report()
 
     @property
-    def cluster_windows(self) -> List[tuple]:
-        """``(label, start, end)`` rebalance/failover spans (attribution)."""
-        manager = self.job.cluster_manager
-        return [] if manager is None else list(manager.windows)
+    def blame_windows(self) -> Dict[str, List[tuple]]:
+        """``{source: [(label, start, end), ...]}`` of the installed
+        fault, resilience and cluster layers — the millibottleneck
+        detector's blame map (injected faults, degraded/shedding spans,
+        rebalance/failover churn)."""
+        layers = {
+            "fault": self.job.fault_injector,
+            "resilience": self.job.resilience,
+            "cluster": self.job.cluster_manager,
+        }
+        return {
+            source: list(layer.windows)
+            for source, layer in layers.items()
+            if layer is not None
+        }
 
     def millibottleneck_report(self, start: float = 0.0,
                                end: Optional[float] = None, **kwargs):

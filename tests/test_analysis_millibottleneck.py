@@ -115,6 +115,55 @@ def test_scheduled_vs_statistical_classification():
     assert all(s.checkpoint_index in (0, 4) for s in both.spikes)
 
 
+def test_window_reaches_back_to_the_checkpoint_trigger():
+    """A burst that starts at the trigger, well before the p99.9 crossing,
+    is still inside the spike's window."""
+    times, values = synthetic_timeline([20.0], duration=40.0)
+    spans = SpanLog()
+    spans.add(ActivitySpan("flush", "f", "s0", 0, "node0", 16.0, 16.5))
+    spans.add(ActivitySpan("compaction", "c", "s0", 0, "node0", 16.1, 17.0))
+    assert detect(times, values, spans=spans).attributed_count == 0
+    report = detect(times, values, spans=spans, checkpoint_times=[8.0, 16.0, 24.0])
+    (spike,) = report.spikes
+    assert spike.window[0] == 16.0
+    assert spike.attributed and spike.checkpoint_index == 1
+
+
+@pytest.mark.parametrize("source", ["fault", "resilience", "cluster", "sync", "gc"])
+def test_detect_blames_labelled_windows(source):
+    """Any blame source — including one the detector has never seen —
+    labels the spikes its windows overlap, labels sorted."""
+    times, values = synthetic_timeline([20.0, 60.0])
+    report = detect(times, values, windows={
+        source: [("b", 15.0, 25.0), ("a", 18.0, 23.0), ("late", 80.0, 85.0)],
+        "idle": [("between", 40.0, 45.0)],
+    })
+    blamed, bare = report.spikes
+    assert blamed.blame == {source: ["a", "b"]}
+    assert bare.blame == {}
+
+
+def test_caller_windows_merge_over_the_derived_map():
+    from repro.trace import TraceEvent
+
+    events = [
+        TraceEvent("latency_p999", "latency", "C", t, 0.0, "latency",
+                   {"value": v})
+        for t, v in zip(*synthetic_timeline([20.0], duration=40.0))
+    ]
+    events.append(TraceEvent("fault-inject", "fault", "i", 19.0, 0.0, "node0",
+                             {"kind": "gc_pause", "duration_s": 2.0}))
+    (spike,) = analyze_trace(events).spikes
+    assert spike.blame == {"fault": ["gc_pause@node0"]}
+    (spike,) = analyze_trace(
+        events, windows={"sync": [("checkpoint-barrier", 20.0, 20.5)]}
+    ).spikes
+    assert spike.blame == {"fault": ["gc_pause@node0"],
+                           "sync": ["checkpoint-barrier"]}
+    (spike,) = analyze_trace(events, windows={"fault": []}).spikes
+    assert spike.blame == {}
+
+
 def test_default_threshold_rule():
     assert default_threshold([]) == 0.8
     assert default_threshold([0.1] * 10) == 0.8  # floor dominates
@@ -123,7 +172,9 @@ def test_default_threshold_rule():
 
 def test_report_dict_round_trip():
     times, values = synthetic_timeline([10.0], duration=20.0)
-    report = detect(times, values, spans=overlap_spans([10.0]))
+    report = detect(times, values, spans=overlap_spans([10.0]),
+                    windows={"resilience": [("degraded", 5.0, 15.0)]})
+    assert report.spikes[0].to_dict()["blame"] == {"resilience": ["degraded"]}
     revived = MillibottleneckReport.from_dict(report.to_dict())
     assert revived.to_dict() == report.to_dict()
     assert isinstance(revived.spikes[0], SpikeAttribution)

@@ -1,10 +1,11 @@
-"""Unit tests for allocation recommendations and the ShadowSync detector."""
+"""Unit tests for allocation recommendations and the ShadowSync detector
+(:func:`repro.analysis.millibottleneck.detect`) on synthetic scenes."""
 
 import numpy as np
 import pytest
 
+from repro.analysis import burst_alignment, detect
 from repro.core import (
-    ShadowSyncDetector,
     concurrency_latency_curve,
     recommend_compaction_threads,
     recommend_flush_threads,
@@ -79,33 +80,37 @@ def build_shadowsync_scene():
     return spans, cpu, times, latency
 
 
-def test_detector_classifies_statistical_shadowsync():
-    spans, cpu, times, latency = build_shadowsync_scene()
-    detector = ShadowSyncDetector(spike_threshold_s=1.0)
-    finding = detector.analyze(
-        spans=spans, cpu_series=cpu, cpu_capacity=16.0,
-        latency_times=times, latency_values=latency,
-        checkpoint_times=[8.0 * k for k in range(12)],
-        stages=["s0", "s1"], window=(0.0, 96.0),
+CHECKPOINTS = [8.0 * k for k in range(12)]
+
+
+def detect_scene(spans, cpu, times, latency):
+    """The §3 detector over a synthetic scene, with the per-checkpoint
+    stage-burst counts a live run would supply."""
+    return detect(
+        times, latency, window_s=0.25, spans=spans, cpu=cpu, capacity=16.0,
+        checkpoint_times=CHECKPOINTS,
+        per_checkpoint=burst_alignment(spans, ["s0", "s1"], CHECKPOINTS),
+        threshold=1.0,
     )
-    assert finding.classification == "statistical"
-    assert len(finding.spikes) == 2
-    assert finding.spike_match_fraction == 1.0
-    assert finding.overlap_seconds > 0
-    assert finding.spike_period_s == pytest.approx(32.0, abs=1.0)
+
+
+def test_detector_classifies_statistical_shadowsync():
+    report = detect_scene(*build_shadowsync_scene())
+    assert report.classification == "statistical"
+    assert report.spike_count == 2
+    assert report.attributed_fraction == 1.0
+    assert all(s.overlap_s > 0 for s in report.spikes)
+    assert report.saturation_windows
+    period = np.diff([s.peak_time for s in report.spikes])
+    assert period == pytest.approx([32.0], abs=1.0)
 
 
 def test_detector_reports_none_without_spikes():
     spans, cpu, times, _latency = build_shadowsync_scene()
     flat = np.full_like(times, 0.3)
-    detector = ShadowSyncDetector(spike_threshold_s=1.0)
-    finding = detector.analyze(
-        spans=spans, cpu_series=cpu, cpu_capacity=16.0,
-        latency_times=times, latency_values=flat,
-        checkpoint_times=[8.0 * k for k in range(12)],
-        stages=["s0", "s1"], window=(0.0, 96.0),
-    )
-    assert finding.classification == "none"
+    report = detect_scene(spans, cpu, times, flat)
+    assert report.spike_count == 0
+    assert report.classification == "none"
 
 
 def test_detector_scheduled_when_stages_alternate():
@@ -122,18 +127,13 @@ def test_detector_scheduled_when_stages_alternate():
     latency = np.full_like(times, 0.3)
     for start in (32.0, 64.0):
         latency[(times >= start) & (times < start + 3.0)] = 1.8
-    detector = ShadowSyncDetector(spike_threshold_s=1.0)
-    finding = detector.analyze(
-        spans=spans, cpu_series=cpu, cpu_capacity=16.0,
-        latency_times=times, latency_values=latency,
-        checkpoint_times=[8.0 * k for k in range(12)],
-        stages=["s0", "s1"], window=(0.0, 96.0),
-    )
-    assert finding.classification == "scheduled"
+    report = detect_scene(spans, cpu, times, latency)
+    assert report.classification == "scheduled"
+    assert report.attributed_fraction == 1.0
+    assert report.alignment == pytest.approx(0.71, abs=0.01)
 
 
-def test_detector_empty_window_raises():
-    spans, cpu, times, latency = build_shadowsync_scene()
-    detector = ShadowSyncDetector()
+def test_detector_rejects_mismatched_timeline():
+    _spans, _cpu, times, latency = build_shadowsync_scene()
     with pytest.raises(AnalysisError):
-        detector.analyze(spans, cpu, 16.0, times, latency, [], ["s0"], (5.0, 5.0))
+        detect(times, latency[:-1])

@@ -148,10 +148,11 @@ def test_fault_windows_and_trace_instants_line_up():
                              node=0))
     tracer = Tracer()
     job = small_job(faults=plan, tracer=tracer)
-    job.run(DURATION)
+    result = job.run(DURATION)
     assert job.fault_injector.windows == [
         ("flush_stall@node0", pytest.approx(10.0), pytest.approx(12.0))
     ]
+    assert result.blame_windows == {"fault": job.fault_injector.windows}
     injects = tracer.select(cat="fault", name="fault-inject")
     clears = tracer.select(cat="fault", name="fault-clear")
     assert [e.ts for e in injects] == [pytest.approx(10.0)]

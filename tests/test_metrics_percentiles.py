@@ -70,6 +70,22 @@ def test_latency_censored_at_history_end():
     assert latency[0] == pytest.approx(10.0, abs=0.2)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "latency_from_segments integrates arrivals and departures from "
+    "`start`, ignoring the backlog already queued there"))
+def test_latency_counts_backlog_queued_at_start():
+    """Service stops for 1 s, then drains at 2x: a message arriving at
+    0.5 s waits 0.75 s and one at 1.5 s waits 0.25 s, wherever the grid
+    starts."""
+    lam = 100.0
+    segments = [seg(0.0, lam, 0.0), seg(1.0, lam, 2 * lam, queue=lam)]
+    for start in (0.0, 0.5):
+        times, latency, _w = latency_from_segments(segments, start, 4.0, dt=0.005)
+        at = lambda t: latency[np.searchsorted(times, t - 1e-9)]
+        assert at(0.5) == pytest.approx(0.75, abs=0.01)
+        assert at(1.5) == pytest.approx(0.25, abs=0.01)
+
+
 def test_compose_latencies_shifts_downstream():
     times = np.arange(0.0, 10.0, 0.1)
     stage1 = np.where(times < 5.0, 1.0, 0.0)

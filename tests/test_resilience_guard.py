@@ -259,13 +259,12 @@ def test_result_summary_carries_resilience_digest():
     assert digest["mode"] == "normal"
     assert digest["shed"]["messages"] > 0
     assert digest["config"]["latency_slo_s"] == 1.5
-    assert result.resilience_windows  # degraded + load-shed spans
-    labels = {label for label, _s, _e in result.resilience_windows}
-    assert labels == {"degraded", "load-shed"}
+    windows = result.blame_windows["resilience"]  # degraded + load-shed spans
+    assert {label for label, _s, _e in windows} == {"degraded", "load-shed"}
 
 
 def test_unguarded_summary_has_no_resilience_key():
     result = small_job().run(20.0)
     assert "resilience" not in result.summary()
     assert result.resilience_report is None
-    assert result.resilience_windows == []
+    assert "resilience" not in result.blame_windows

@@ -1,13 +1,10 @@
-"""Tests for the chaos-soak harness (repro.resilience.soak), the
-cache-key coverage of the resilience field, and the millibottleneck
-detector's resilience-window attribution."""
+"""Tests for the chaos-soak harness (repro.resilience.soak) and the
+cache-key coverage of the resilience field."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.analysis.millibottleneck import SpikeAttribution, detect
 from repro.errors import OverloadError
 from repro.resilience import ResilienceConfig
 from repro.resilience.soak import SoakReport, run_soak
@@ -105,46 +102,6 @@ def test_cache_key_distinguishes_resilience_configs():
     assert len({unguarded, default, custom}) == 3
     # True coerces to the default config: same content, same address
     assert default == spec_cache_key(spec(ResilienceConfig()))
-
-
-# ----------------------------------------------------------------------
-# millibottleneck: resilience-window attribution
-# ----------------------------------------------------------------------
-
-
-def synthetic_timeline(spike_times, duration=100.0, dt=0.05, base=0.3,
-                       peak=2.0):
-    times = np.arange(0.0, duration, dt)
-    values = np.full(len(times), base)
-    for t0 in spike_times:
-        values[(times >= t0) & (times < t0 + 1.0)] = peak
-    return times, values
-
-
-def test_detect_labels_spikes_inside_resilience_windows():
-    times, values = synthetic_timeline([20.0, 60.0])
-    report = detect(
-        times, values,
-        resilience_windows=[("degraded", 15.0, 25.0),
-                            ("load-shed", 18.0, 23.0)],
-    )
-    assert report.spike_count == 2
-    guarded, bare = report.spikes
-    assert guarded.resilience == ["degraded", "load-shed"]
-    assert bare.resilience == []
-
-
-def test_spike_attribution_from_dict_backfills_resilience():
-    times, values = synthetic_timeline([20.0])
-    (spike,) = detect(times, values,
-                      resilience_windows=[("degraded", 15.0, 25.0)]).spikes
-    data = spike.to_dict()
-    assert data["resilience"] == ["degraded"]
-    revived = SpikeAttribution.from_dict(data)
-    assert revived.resilience == ["degraded"]
-    # records written before the field existed load with an empty list
-    data.pop("resilience")
-    assert SpikeAttribution.from_dict(data).resilience == []
 
 
 # ----------------------------------------------------------------------

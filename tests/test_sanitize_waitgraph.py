@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis.millibottleneck import SpikeAttribution, detect
 from repro.sanitize.syncgraph import (
     SYNC_CATALOG,
     SyncEdge,
@@ -114,20 +113,6 @@ def test_sync_edge_round_trips_through_json(synthetic_trace):
     for edge in edges:
         back = SyncEdge.from_dict(json.loads(json.dumps(edge.to_dict())))
         assert back == edge
-
-
-def test_detector_labels_spikes_with_sync_edges():
-    times = [i * 0.5 for i in range(40)]
-    p999 = [0.1] * 40
-    p999[20] = 5.0  # spike at t=10
-    windows = [("checkpoint-barrier", 9.5, 10.5), ("pool-stall", 50.0, 51.0)]
-    report = detect(times, p999, sync_windows=windows)
-    (spike,) = report.spikes
-    assert spike.sync == ["checkpoint-barrier"]
-    # Old cached dicts without the sync field still load.
-    legacy = spike.to_dict()
-    legacy.pop("sync")
-    assert SpikeAttribution.from_dict(legacy).sync == []
 
 
 def test_sync_windows_feed_shape(synthetic_trace):
