@@ -21,10 +21,11 @@ the bracket should state the constraint that justifies the exception.
 from __future__ import annotations
 
 import ast
+import gc
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import ConfigurationError, did_you_mean
 from .rules import RULES, Rule, RuleContext
@@ -108,17 +109,24 @@ def _is_suppressed(
     return False
 
 
-def _select_rules(rules: Optional[Iterable[str]]) -> List[Rule]:
+def _select_rules(rules: Optional[Iterable[Union[str, Rule]]]) -> List[Rule]:
     """Resolve rule labels: IDs, slugs, or ``DS2xx`` family prefixes.
 
-    Unknown labels raise :class:`ConfigurationError` with a
-    did-you-mean hint instead of a bare ``KeyError``.
+    A :class:`Rule` stands for itself, so a list this function returned
+    can be passed again without re-matching labels.  Unknown labels
+    raise :class:`ConfigurationError` with a did-you-mean hint instead
+    of a bare ``KeyError``.
     """
     if rules is None:
         return [RULES[rule_id] for rule_id in sorted(RULES)]
     selected: List[Rule] = []
     chosen: Set[str] = set()
     for label in rules:
+        if isinstance(label, Rule):
+            if label.id not in chosen:
+                chosen.add(label.id)
+                selected.append(label)
+            continue
         matches = [
             RULES[rule_id] for rule_id in sorted(RULES)
             if RULES[rule_id].matches(label)
@@ -143,31 +151,38 @@ def _select_rules(rules: Optional[Iterable[str]]) -> List[Rule]:
     return selected
 
 
+def _syntax_error_finding(path: str, exc: SyntaxError) -> Finding:
+    """DS000 diagnostic for a file that does not parse."""
+    return Finding(
+        path=path,
+        line=exc.lineno or 1,
+        col=(exc.offset or 1) - 1,
+        rule_id="DS000",
+        rule_name="syntax-error",
+        message=f"file does not parse: {exc.msg}",
+        hint="fix the syntax error; nothing else was checked",
+    )
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
-    rules: Optional[Iterable[str]] = None,
+    rules: Optional[Iterable[Union[str, Rule]]] = None,
     project=None,
+    tree: Optional[ast.Module] = None,
 ) -> List[Finding]:
     """Lint one source string; *path* labels the diagnostics.
 
     *project* is the shared call graph when linting a whole tree; the
-    DS2xx rules build a single-file graph when it is absent.
+    DS2xx rules build a single-file graph when it is absent.  *tree* is
+    *source* already parsed; the source is parsed here when it is
+    ``None``.
     """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule_id="DS000",
-                rule_name="syntax-error",
-                message=f"file does not parse: {exc.msg}",
-                hint="fix the syntax error; nothing else was checked",
-            )
-        ]
+    if tree is None:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            return [_syntax_error_finding(path, exc)]
     ctx = RuleContext(path, tree, source, project=project)
     allowed = _allowed_rules(source)
     findings: List[Finding] = []
@@ -247,33 +262,45 @@ def lint_paths(
     """Lint every ``.py`` file under *paths* (files or directories).
 
     The whole file set is indexed into one project call graph first, so
-    the project-aware DS2xx rules see cross-module call chains.
-    Unreadable and non-UTF-8 files produce a ``DS000`` diagnostic
-    instead of aborting the run.
+    the project-aware DS2xx rules see cross-module call chains.  Each
+    file is read and parsed once; the call graph and the per-file rule
+    pass share that tree and its index.  Unreadable and non-UTF-8 files
+    produce a ``DS000`` diagnostic instead of aborting the run, and so
+    does a file that does not parse.
     """
     from .syncgraph.callgraph import build_project
 
-    _select_rules(rules)  # validate labels before any file IO
-    findings: List[Finding] = []
-    sources: List[tuple] = []
-    for path in iter_python_files(paths):
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            findings.append(_unreadable_finding(path, exc))
-            continue
-        sources.append((path, text))
-    parsed = []
-    for path, text in sources:
-        try:
-            parsed.append((str(path), ast.parse(text, filename=str(path))))
-        except SyntaxError:
-            continue  # lint_source re-parses and reports DS000
-    project = build_project(parsed)
-    for path, text in sources:
-        findings.extend(
-            lint_source(text, path=str(path), rules=rules, project=project)
-        )
+    selected = _select_rules(rules)  # validate labels before any file IO
+    # Every tree stays alive until the rule pass ends, and nothing here
+    # forms reference cycles: generational GC passes over the growing
+    # set of AST nodes only cost time, so collection waits until the end.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        findings: List[Finding] = []
+        parsed: List[Tuple[str, str, ast.Module]] = []
+        for path in iter_python_files(paths):
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                findings.append(_unreadable_finding(path, exc))
+                continue
+            try:
+                tree = ast.parse(text, filename=str(path))
+            except SyntaxError as exc:
+                findings.append(_syntax_error_finding(str(path), exc))
+                continue
+            parsed.append((str(path), text, tree))
+        project = build_project([(path, tree) for path, _, tree in parsed])
+        for path, text, tree in parsed:
+            findings.extend(
+                lint_source(
+                    text, path=path, rules=selected, project=project, tree=tree
+                )
+            )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 

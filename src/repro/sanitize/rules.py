@@ -8,7 +8,10 @@ rest of the tooling depends on: the content-addressed result cache
 A rule is a small AST predicate packaged with an ID, a one-line summary
 and a fix hint.  Rules are registered in :data:`RULES` via the
 :func:`rule` decorator and run by :mod:`repro.sanitize.lint`, which also
-handles ``# repro: allow[RULE]`` inline suppressions.
+handles ``# repro: allow[RULE]`` inline suppressions.  A rule reads the
+node lists of :attr:`RuleContext.index` (one
+:class:`~repro.sanitize.astindex.FileIndex` per file, built in a single
+traversal) instead of calling ``ast.walk`` on the tree.
 
 The built-in rules:
 
@@ -37,6 +40,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from .astindex import FileIndex
 
 __all__ = ["Rule", "RuleContext", "RULES", "rule", "qualified_name"]
 
@@ -71,11 +76,14 @@ def rule(id: str, name: str, summary: str, hint: str):
 
 
 class RuleContext:
-    """Per-file state shared by every rule: the tree plus import aliases.
+    """Per-file state shared by every rule: the tree, its node index and
+    import aliases.
 
     *project* is the shared :class:`~repro.sanitize.syncgraph.callgraph.
     ProjectGraph` when linting a whole tree; the project-aware DS2xx
-    rules build a single-file graph on demand when it is ``None``.
+    rules build a single-file graph on demand when it is ``None``.  The
+    project already holds the index of every file it was built from, so
+    a file of the project is not traversed a second time.
     """
 
     def __init__(
@@ -85,16 +93,20 @@ class RuleContext:
         self.tree = tree
         self.source = source
         self.project = project
+        index = project.files.get(path) if project is not None else None
+        if index is None or index.tree is not tree:
+            index = FileIndex(path, tree)
+        self.index = index
         #: Local name -> dotted origin ("np" -> "numpy",
         #: "perf_counter" -> "time.perf_counter").
         self.aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
+        for node in index.imports:
             if isinstance(node, ast.Import):
                 for item in node.names:
                     local = item.asname or item.name.split(".")[0]
                     target = item.name if item.asname else item.name.split(".")[0]
                     self.aliases[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            elif node.module and not node.level:
                 for item in node.names:
                     if item.name == "*":
                         continue
@@ -138,6 +150,7 @@ WALL_CLOCK_CALLS = frozenset({
     "datetime.datetime.today",
     "datetime.date.today",
 })
+_WALL_CLOCK_ATTRS = frozenset(name.rsplit(".", 1)[1] for name in WALL_CLOCK_CALLS)
 
 
 @rule(
@@ -149,10 +162,13 @@ WALL_CLOCK_CALLS = frozenset({
 )
 def check_wall_clock(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
     seen = set()
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.Attribute, ast.Name)):
-            continue
-        resolved = ctx.resolve(node)
+    for node in ctx.index.names:
+        if isinstance(node, ast.Name):
+            resolved = ctx.aliases.get(node.id, node.id)
+        elif node.attr in _WALL_CLOCK_ATTRS:
+            resolved = ctx.resolve(node)
+        else:
+            continue  # a dotted name ends in its attr: it cannot match
         if resolved in WALL_CLOCK_CALLS:
             key = (node.lineno, node.col_offset)
             if key in seen:
@@ -189,9 +205,7 @@ _NP_SEEDED_CTORS = frozenset({
     "seeded random.Random(seed)",
 )
 def check_unseeded_rng(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in ctx.index.calls:
         resolved = ctx.resolve(node.func)
         if resolved is None:
             continue
@@ -262,15 +276,14 @@ def _unordered_reason(node: ast.AST, ctx: RuleContext) -> Optional[str]:
 )
 def check_unordered_iter(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
     iterables: List[ast.AST] = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.index.loops:
         if isinstance(node, (ast.For, ast.AsyncFor)):
             iterables.append(node.iter)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        else:
             iterables.extend(gen.iter for gen in node.generators)
-        elif isinstance(node, ast.Call):
-            resolved = ctx.resolve(node.func)
-            if resolved in ("list", "tuple", "enumerate") and node.args:
-                iterables.append(node.args[0])
+    for node in ctx.index.calls:
+        if node.args and ctx.resolve(node.func) in ("list", "tuple", "enumerate"):
+            iterables.append(node.args[0])
     for target in iterables:
         reason = _unordered_reason(target, ctx)
         if reason is not None:
@@ -309,9 +322,7 @@ def _is_mutable_value(node: ast.AST, ctx: RuleContext) -> bool:
     "default to None and build the object inside the function body",
 )
 def check_mutable_default(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+    for node in ctx.index.functions:
         args = node.args
         defaults = list(args.defaults) + [d for d in args.kw_defaults if d is not None]
         for default in defaults:

@@ -21,7 +21,6 @@ from .callgraph import (  # noqa: F401
     WriteSite,
     build_project,
     module_name_for,
-    project_from_paths,
 )
 from .catalog import (  # noqa: F401
     DECLARED_SYNC_MODULES,
@@ -48,7 +47,6 @@ __all__ = [
     "WriteSite",
     "build_project",
     "module_name_for",
-    "project_from_paths",
     "DECLARED_SYNC_MODULES",
     "OWNERSHIP_TRANSFERS",
     "SYNC_CATALOG",

@@ -2,11 +2,14 @@
 
 The DS2xx rules need more context than one file's AST: whether a
 blocking call is *reachable from the event-dispatch layer* is a
-property of the whole call graph.  :func:`build_project` parses every
-file once and produces a :class:`ProjectGraph` — functions indexed by
-module-qualified name, call edges with best-effort resolution, and the
-set of functions registered as simulator callbacks (the dispatch
-roots).
+property of the whole call graph.  :func:`build_project` takes every
+file's parsed tree and produces a :class:`ProjectGraph` — functions
+indexed by module-qualified name, call edges with best-effort
+resolution, and the set of functions registered as simulator callbacks
+(the dispatch roots).  It reads each tree through the same
+:class:`~repro.sanitize.astindex.FileIndex` the DS1xx rules use, and
+keeps the indexes in :attr:`ProjectGraph.files`, so a file is traversed
+once for the whole lint run.
 
 Resolution is deliberately conservative Python static analysis:
 
@@ -29,13 +32,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..astindex import FileIndex
+from ..rules import qualified_name
+
 __all__ = [
     "CallSite",
     "FunctionInfo",
     "WriteSite",
     "ProjectGraph",
     "build_project",
-    "project_from_paths",
+    "link_project",
     "module_name_for",
 ]
 
@@ -120,7 +126,8 @@ class ProjectGraph:
     """The indexed project: functions, call edges, dispatch roots."""
 
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: bare name -> sorted qualnames defining a function of that name.
+    #: bare name -> qualnames defining a function of that name, in
+    #: the order the files were indexed.
     by_name: Dict[str, List[str]] = field(default_factory=dict)
     #: caller qualname -> callsites, in source order.
     calls: Dict[str, List[CallSite]] = field(default_factory=dict)
@@ -129,6 +136,12 @@ class ProjectGraph:
     callback_roots: Dict[str, Tuple[str, int, str]] = field(default_factory=dict)
     #: attr name -> writes on non-``self`` receivers, project-wide.
     foreign_writes: Dict[str, List[WriteSite]] = field(default_factory=dict)
+    #: path -> the file index the graph was built from; the lint rules
+    #: read the same index instead of traversing the file again.
+    files: Dict[str, FileIndex] = field(default_factory=dict, repr=False)
+    #: Project-wide tables the DS2xx rules derive once and share across
+    #: files (see :func:`repro.sanitize.syncgraph.rules.per_graph`).
+    tables: Dict[str, object] = field(default_factory=dict, repr=False)
     #: Dispatch closure: callback roots plus everything they reach.
     _reachable: Optional[Dict[str, Optional[str]]] = None
 
@@ -188,16 +201,16 @@ class ProjectGraph:
         self.calls.setdefault(site.caller, []).append(site)
 
 
-def _import_aliases(tree: ast.Module, module: str) -> Dict[str, str]:
+def _import_aliases(imports: Sequence[ast.stmt], module: str) -> Dict[str, str]:
     """Local name -> dotted origin, resolving relative imports too."""
     aliases: Dict[str, str] = {}
     package_parts = module.split(".")[:-1]
-    for node in ast.walk(tree):
+    for node in imports:
         if isinstance(node, ast.Import):
             for item in node.names:
                 local = item.asname or item.name.split(".")[0]
                 aliases[local] = item.name if item.asname else item.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
+        else:
             if node.level:
                 base = package_parts[: len(package_parts) - (node.level - 1)]
                 prefix = ".".join(base + ([node.module] if node.module else []))
@@ -212,170 +225,116 @@ def _import_aliases(tree: ast.Module, module: str) -> Dict[str, str]:
     return aliases
 
 
-def _dotted(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """``self.backend.flush_instance`` style dotted text, alias-resolved."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(aliases.get(node.id, node.id))
-    return ".".join(reversed(parts))
+class _FileLinker:
+    """Turn one :class:`FileIndex` into graph records.
 
+    The index holds scope-tagged syntax; this resolves it against the
+    file's import aliases.  Function records and foreign writes go into
+    the graph at once.  Callees and registered callbacks can live in any
+    file, so :meth:`link_calls` and :meth:`link_registrations` run once
+    every file's functions are in the graph.
+    """
 
-class _FileIndexer(ast.NodeVisitor):
-    """One pass over a file: functions, calls, callback registrations."""
-
-    def __init__(self, graph: ProjectGraph, module: str, path: str) -> None:
+    def __init__(self, graph: ProjectGraph, index: FileIndex) -> None:
         self.graph = graph
-        self.module = module
-        self.path = path
-        self.aliases: Dict[str, str] = {}
-        #: (cls, func-qualname) lexical scope stack.
-        self.cls: Optional[str] = None
-        self.func: Optional[str] = None
-        #: Per-function local aliases: name -> dotted value text.
-        self.locals: Dict[str, str] = {}
-        #: Deferred callsites; resolved after the whole project parses.
-        self.pending: List[Tuple[CallSite, Optional[str], Optional[str]]] = []
-
-    def index(self, tree: ast.Module) -> None:
-        self.aliases = _import_aliases(tree, self.module)
-        self.visit(tree)
-
-    # -- scopes --------------------------------------------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        prev = self.cls
-        self.cls = node.name
-        self.generic_visit(node)
-        self.cls = prev
-
-    def _visit_function(self, node, name: str) -> None:
-        if self.func is not None:
-            qualname = f"{self.func}.{name}"
-        elif self.cls is not None:
-            qualname = f"{self.module}.{self.cls}.{name}"
-        else:
-            qualname = f"{self.module}.{name}"
-        self.graph.add_function(
-            FunctionInfo(
-                qualname=qualname,
-                module=self.module,
-                name=name,
-                cls=self.cls,
-                path=self.path,
-                lineno=node.lineno,
-                parent=self.func,
+        self.path = index.path
+        self.module = module_name_for(Path(index.path))
+        self.aliases = _import_aliases(index.imports, self.module)
+        #: ``(caller, attr, base, lineno, col, literal_base, class)``.
+        self.sites: List[tuple] = []
+        #: ``(registrar, attr, base, lineno, class)``.
+        self.registrations: List[tuple] = []
+        module = self.module
+        for qualname, name, cls, lineno, parent in index.defs:
+            graph.add_function(
+                FunctionInfo(
+                    qualname=f"{module}.{qualname}",
+                    module=module,
+                    name=name,
+                    cls=cls,
+                    path=self.path,
+                    lineno=lineno,
+                    parent=f"{module}.{parent}" if parent else None,
+                )
             )
-        )
-        prev_func, prev_locals = self.func, self.locals
-        self.func, self.locals = qualname, dict(prev_locals)
-        self.generic_visit(node)
-        self.func, self.locals = prev_func, prev_locals
+        for target, cls in index.writes:
+            self._note_write(target, cls)
+        for node, cls, func, local in index.call_scopes:
+            caller = f"{module}.{func or '<module>'}"
+            self._note_call(node, cls, caller, local)
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node, node.name)
+    def _dotted(self, node: ast.AST) -> Optional[str]:
+        return qualified_name(node, self.aliases)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node, node.name)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._visit_function(node, f"<lambda:{node.lineno}>")
-
-    # -- statements ----------------------------------------------------
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if (
-            self.func is not None
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, (ast.Attribute, ast.Name))
-        ):
-            dotted = _dotted(node.value, self.aliases)
-            if dotted is not None:
-                self.locals[node.targets[0].id] = dotted
-        for target in node.targets:
-            self._note_write(target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._note_write(node.target)
-        self.generic_visit(node)
-
-    def _note_write(self, target: ast.AST) -> None:
-        if not isinstance(target, ast.Attribute):
-            return
-        base = _dotted(target.value, self.aliases)
+    def _note_write(self, target: ast.Attribute, cls: Optional[str]) -> None:
+        base = self._dotted(target.value)
         if base is None or base.split(".", 1)[0] in ("self", "cls"):
             return
         site = WriteSite(
             attr=target.attr,
-            writer=self.cls or self.module,
+            writer=cls or self.module,
             base=base,
             path=self.path,
             lineno=target.lineno,
             col=target.col_offset,
-            writer_is_class=self.cls is not None,
+            writer_is_class=cls is not None,
         )
         self.graph.foreign_writes.setdefault(target.attr, []).append(site)
 
-    # -- calls ---------------------------------------------------------
-
-    def _caller(self) -> str:
-        return self.func or f"{self.module}.<module>"
-
-    def visit_Call(self, node: ast.Call) -> None:
+    def _note_call(
+        self,
+        node: ast.Call,
+        cls: Optional[str],
+        caller: str,
+        local: Dict[str, ast.AST],
+    ) -> None:
         func = node.func
         attr = base = None
         literal_base = False
         if isinstance(func, ast.Name):
             attr = func.id
-            dotted = self.locals.get(func.id) or self.aliases.get(func.id)
+            bound = local.get(func.id)
+            dotted = (
+                self._dotted(bound) if bound is not None
+                else self.aliases.get(func.id)
+            )
             if dotted is not None and "." in dotted:
                 base, attr = dotted.rsplit(".", 1)
             elif dotted is not None:
                 attr = dotted
         elif isinstance(func, ast.Attribute):
             attr = func.attr
-            base = _dotted(func.value, self.aliases)
-            if base is not None and base.split(".", 1)[0] in self.locals:
+            base = self._dotted(func.value)
+            if base is not None and base.split(".", 1)[0] in local:
                 root, _, rest = base.partition(".")
-                base = self.locals[root] + (f".{rest}" if rest else "")
+                base = self._dotted(local[root]) + (f".{rest}" if rest else "")
             literal_base = isinstance(func.value, ast.Constant)
-        if attr is not None:
-            site = CallSite(
-                caller=self._caller(),
-                target=None,
-                attr=attr,
-                base=base,
-                path=self.path,
-                lineno=node.lineno,
-                col=node.col_offset,
-                literal_base=literal_base,
-            )
-            self.pending.append((site, self.cls, self.module))
-            self._note_callbacks(node, attr, base)
-        self.generic_visit(node)
+        if attr is None:
+            return
+        self.sites.append(
+            (caller, attr, base, node.lineno, node.col_offset, literal_base, cls)
+        )
+        self._note_callbacks(node, cls, caller, attr, base)
 
-    def _callable_name(self, arg: ast.AST) -> Optional[str]:
+    def _callable_name(self, arg: ast.AST, caller: str) -> Optional[str]:
         """Qualname-ish text for a callback argument expression."""
         if isinstance(arg, ast.Lambda):
-            return f"{self._caller()}.<lambda:{arg.lineno}>"
+            return f"{caller}.<lambda:{arg.lineno}>"
         if isinstance(arg, ast.Call):
             # spawn(self._loop()) registers the generator function.
             arg = arg.func
-        dotted = (
-            _dotted(arg, self.aliases)
-            if isinstance(arg, (ast.Attribute, ast.Name))
-            else None
-        )
-        if dotted is None and isinstance(arg, ast.Name):
-            dotted = self.locals.get(arg.id, arg.id)
-        return dotted
+        if isinstance(arg, (ast.Attribute, ast.Name)):
+            return self._dotted(arg)
+        return None
 
-    def _note_callbacks(self, node: ast.Call, attr: str, base: Optional[str]) -> None:
+    def _note_callbacks(
+        self,
+        node: ast.Call,
+        cls: Optional[str],
+        caller: str,
+        attr: str,
+        base: Optional[str],
+    ) -> None:
         registered: List[ast.AST] = []
         registrar = attr
         if attr in CALLBACK_REGISTRARS:
@@ -390,29 +349,41 @@ class _FileIndexer(ast.NodeVisitor):
                 registered.append(kw.value)
                 registrar = kw.arg
         for arg in registered:
-            name = self._callable_name(arg)
+            name = self._callable_name(arg, caller)
             if name is None:
                 continue
-            self.pending.append((
-                CallSite(
-                    caller=f"<register:{registrar}>",
-                    target=None,
-                    attr=name.rsplit(".", 1)[-1],
-                    base=(name.rsplit(".", 1)[0] if "." in name else None),
-                    path=self.path,
-                    lineno=node.lineno,
-                    col=node.col_offset,
-                ),
-                self.cls,
-                self.module,
-            ))
+            base, _, attr = name.rpartition(".")
+            self.registrations.append(
+                (registrar, attr, base or None, node.lineno, cls)
+            )
+
+    def link_calls(self) -> None:
+        graph, module, path = self.graph, self.module, self.path
+        for caller, attr, base, lineno, col, literal_base, cls in self.sites:
+            target = _resolve_site(graph, base, attr, cls, module)
+            graph.add_call(
+                CallSite(caller, target, attr, base, path, lineno, col, literal_base)
+            )
+
+    def link_registrations(self) -> None:
+        graph = self.graph
+        for registrar, attr, base, lineno, cls in self.registrations:
+            target = _resolve_site(graph, base, attr, cls, self.module)
+            if target is None and base is not None:
+                candidate = f"{base}.{attr}"
+                target = candidate if candidate in graph.functions else None
+            if target is not None and target not in graph.callback_roots:
+                graph.callback_roots[target] = (self.path, lineno, registrar)
 
 
 def _resolve_site(
-    graph: ProjectGraph, site: CallSite, cls: Optional[str], module: str
+    graph: ProjectGraph,
+    base: Optional[str],
+    attr: str,
+    cls: Optional[str],
+    module: str,
 ) -> Optional[str]:
     """Best-effort project qualname of a callsite's callee."""
-    base, attr = site.base, site.attr
     if base is None:
         for candidate in (f"{module}.{attr}", attr):
             if candidate in graph.functions:
@@ -440,51 +411,18 @@ def build_project(
     sources: Sequence[Tuple[str, ast.Module]],
 ) -> ProjectGraph:
     """Index ``(path, tree)`` pairs into one :class:`ProjectGraph`."""
+    return link_project([FileIndex(str(path), tree) for path, tree in sources])
+
+
+def link_project(indexes: Sequence[FileIndex]) -> ProjectGraph:
+    """Build the :class:`ProjectGraph` of already-indexed files."""
     graph = ProjectGraph()
-    indexers: List[_FileIndexer] = []
-    for path, tree in sources:
-        indexer = _FileIndexer(graph, module_name_for(Path(path)), str(path))
-        indexer.index(tree)
-        indexers.append(indexer)
-    registrations: List[Tuple[CallSite, Optional[str], Optional[str]]] = []
-    for indexer in indexers:
-        for site, cls, module in indexer.pending:
-            if site.caller.startswith("<register:"):
-                registrations.append((site, cls, module))
-                continue
-            target = _resolve_site(graph, site, cls, module)
-            graph.add_call(
-                CallSite(
-                    caller=site.caller,
-                    target=target,
-                    attr=site.attr,
-                    base=site.base,
-                    path=site.path,
-                    lineno=site.lineno,
-                    col=site.col,
-                    literal_base=site.literal_base,
-                )
-            )
-    for site, cls, module in registrations:
-        target = _resolve_site(graph, site, cls, module)
-        if target is None and site.base is not None:
-            candidate = f"{site.base}.{site.attr}"
-            target = candidate if candidate in graph.functions else None
-        if target is not None and target not in graph.callback_roots:
-            registrar = site.caller[len("<register:"):-1]
-            graph.callback_roots[target] = (site.path, site.lineno, registrar)
-    graph._reachable = None
+    linkers: List[_FileLinker] = []
+    for index in indexes:
+        graph.files[index.path] = index
+        linkers.append(_FileLinker(graph, index))
+    for linker in linkers:
+        linker.link_calls()
+    for linker in linkers:
+        linker.link_registrations()
     return graph
-
-
-def project_from_paths(paths: Sequence[Path]) -> ProjectGraph:
-    """Parse *paths* (skipping unreadable files) and build the graph."""
-    sources: List[Tuple[str, ast.Module]] = []
-    for path in paths:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-            tree = ast.parse(text, filename=str(path))
-        except (OSError, UnicodeDecodeError, SyntaxError):
-            continue
-        sources.append((str(path), tree))
-    return build_project(sources)

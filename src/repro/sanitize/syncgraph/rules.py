@@ -31,13 +31,15 @@ are *project-aware*: they consult the static call graph
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Tuple
+import functools
+from typing import Callable, Dict, Iterator, List, Tuple, TypeVar, Union
 
 from ..rules import RuleContext, rule
-from .callgraph import CallSite, ProjectGraph, build_project
+from .callgraph import CallSite, ProjectGraph, WriteSite, link_project
 from .catalog import (
     DECLARED_SYNC_MODULES,
     OWNERSHIP_TRANSFERS,
+    SyncPrimitive,
     primitives_by_method,
 )
 
@@ -105,16 +107,54 @@ def project_for(ctx: RuleContext) -> ProjectGraph:
     one, else a single-file graph built (and cached) on demand."""
     project = getattr(ctx, "project", None)
     if project is None:
-        project = build_project([(ctx.path, ctx.tree)])
+        project = link_project([ctx.index])
         ctx.project = project
     return project
 
 
-def _file_calls(graph: ProjectGraph, path: str) -> Iterator[CallSite]:
+T = TypeVar("T")
+
+
+def per_graph(derive: Callable[[ProjectGraph], T]) -> Callable[[ProjectGraph], T]:
+    """Compute a project-wide table once per graph.
+
+    The DS2xx rules run once per file, but what they look up is a
+    property of the whole project; the first file's rule pass derives
+    the table and stores it in :attr:`ProjectGraph.tables`.
+    """
+    key = derive.__qualname__
+
+    @functools.wraps(derive)
+    def shared(graph: ProjectGraph) -> T:
+        if key not in graph.tables:
+            graph.tables[key] = derive(graph)
+        return graph.tables[key]
+
+    return shared
+
+
+#: ``path -> [(anchor site, message)]`` of one rule's findings.
+FindingsByPath = Dict[str, List[Tuple[Union[CallSite, WriteSite], str]]]
+
+
+@per_graph
+def _calls_by_path(graph: ProjectGraph) -> Dict[str, List[CallSite]]:
+    """Every callsite grouped by file, callers in sorted order."""
+    by_path: Dict[str, List[CallSite]] = {}
     for caller in sorted(graph.calls):
         for site in graph.calls[caller]:
-            if site.path == path:
-                yield site
+            by_path.setdefault(site.path, []).append(site)
+    return by_path
+
+
+@per_graph
+def _catalog_methods(graph: ProjectGraph) -> Dict[str, SyncPrimitive]:
+    return primitives_by_method()
+
+
+def _anchored(findings: FindingsByPath, path: str) -> Iterator[Tuple[ast.AST, str]]:
+    for site, message in findings.get(path, ()):
+        yield _Site(site.lineno, site.col), message
 
 
 def _short(qualname: str) -> str:
@@ -137,18 +177,14 @@ def _short(qualname: str) -> str:
 )
 def check_hidden_blocking_call(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
     graph = project_for(ctx)
-    blocking = {
-        method: prim
-        for method, prim in primitives_by_method().items()
-        if prim.blocking
-    }
+    methods = _catalog_methods(graph)
     reachable = graph.dispatch_reachable()
-    for site in _file_calls(graph, ctx.path):
-        if site.literal_base or site.attr not in blocking:
+    for site in _calls_by_path(graph).get(ctx.path, ()):
+        prim = methods.get(site.attr)
+        if site.literal_base or prim is None or not prim.blocking:
             continue
         if site.caller not in reachable:
             continue
-        prim = blocking[site.attr]
         chain = [_short(q) for q in graph.dispatch_chain(site.caller)]
         chain.append(f"{prim.owner}.{site.attr}")
         yield _Site(site.lineno, site.col), (
@@ -173,8 +209,8 @@ def check_hidden_blocking_call(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]
 )
 def check_undeclared_sync(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
     graph = project_for(ctx)
-    cataloged = set(primitives_by_method())
-    for site in _file_calls(graph, ctx.path):
+    cataloged = _catalog_methods(graph)
+    for site in _calls_by_path(graph).get(ctx.path, ()):
         if site.literal_base:
             continue
         dotted = f"{site.base}.{site.attr}" if site.base else site.attr
@@ -211,7 +247,12 @@ def check_undeclared_sync(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
     "field a single owning class",
 )
 def check_unowned_shared_state(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
-    graph = project_for(ctx)
+    return _anchored(_unowned_writes(project_for(ctx)), ctx.path)
+
+
+@per_graph
+def _unowned_writes(graph: ProjectGraph) -> FindingsByPath:
+    findings: FindingsByPath = {}
     for attr in sorted(graph.foreign_writes):
         if attr in OWNERSHIP_TRANSFERS or attr.isupper():
             continue
@@ -225,13 +266,14 @@ def check_unowned_shared_state(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]
         if len(writers) < 2:
             continue
         for site in sites:
-            if site.path != ctx.path or not site.writer_is_class:
+            if not site.writer_is_class:
                 continue
-            yield _Site(site.lineno, site.col), (
+            findings.setdefault(site.path, []).append((site, (
                 f"attribute {attr!r} on {site.base} is mutated by "
                 f"{len(writers)} different classes ({', '.join(writers)}) "
                 "with no declared ownership transfer"
-            )
+            )))
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -277,8 +319,13 @@ def _gate_orders(
     "every code path follow it",
 )
 def check_gate_order(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
-    graph = project_for(ctx)
+    return _anchored(_gate_hazards(project_for(ctx)), ctx.path)
+
+
+@per_graph
+def _gate_hazards(graph: ProjectGraph) -> FindingsByPath:
     orders = _gate_orders(graph)
+    findings: FindingsByPath = {}
     reported: set = set()
     for (g1, g2) in sorted(orders):
         if (g2, g1) not in orders or g1 >= g2:
@@ -286,18 +333,17 @@ def check_gate_order(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
         forward = orders[(g1, g2)]
         backward = orders[(g2, g1)]
         for caller, site in forward + backward:
-            if site.path != ctx.path:
-                continue
-            key = (site.lineno, site.col, g1, g2)
+            key = (site.path, site.lineno, site.col, g1, g2)
             if key in reported:
                 continue
             reported.add(key)
             other = backward if (caller, site) in forward else forward
             other_names = ", ".join(sorted({_short(c) for c, _ in other}))
-            yield _Site(site.lineno, site.col), (
+            findings.setdefault(site.path, []).append((site, (
                 f"{_short(caller)} acquires gates {g1!r} and {g2!r} in "
                 f"the opposite order from {other_names}"
-            )
+            )))
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -328,19 +374,25 @@ def _callback_closure(graph: ProjectGraph) -> Dict[str, str]:
     "explicit pool job so backpressure is visible",
 )
 def check_unbounded_callback_put(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
-    graph = project_for(ctx)
+    return _anchored(_callback_puts(project_for(ctx)), ctx.path)
+
+
+@per_graph
+def _callback_puts(graph: ProjectGraph) -> FindingsByPath:
     callbacks = _callback_closure(graph)
+    findings: FindingsByPath = {}
     for func in sorted(callbacks):
         for site in graph.calls.get(func, ()):
-            if site.path != ctx.path or site.literal_base:
+            if site.literal_base:
                 continue
             if site.attr not in PUT_ATTRS or not site.base or "." not in site.base:
                 continue
             name = site.base.rsplit(".", 1)[-1].lstrip("_").lower()
             if not any(hint in name for hint in QUEUE_NAME_HINTS):
                 continue
-            yield _Site(site.lineno, site.col), (
+            findings.setdefault(site.path, []).append((site, (
                 f"callback {_short(func)} (registered via "
                 f"{callbacks[func]}) does an unbounded {site.attr}() "
                 f"into shared queue {site.base}"
-            )
+            )))
+    return findings

@@ -108,16 +108,40 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"workload rate must be a finite number >= 0, got {self.rate!r}"
             )
+        # The sources divide by these, so zero is as malformed as NaN.
+        for name in ("period_s", "think_time_s", "base_service_s",
+                     "control_interval_s"):
+            value = getattr(self, name)
+            if not _finite(value) or value <= 0:
+                raise ConfigurationError(
+                    f"workload {name} must be a finite number > 0, got {value!r}"
+                )
+        if not _finite(self.trough_factor) or not 0.0 <= self.trough_factor <= 1.0:
+            raise ConfigurationError(
+                "workload trough_factor must be a finite number in [0, 1], "
+                f"got {self.trough_factor!r}"
+            )
+        if (
+            not isinstance(self.steps_per_period, int)
+            or isinstance(self.steps_per_period, bool)
+            or self.steps_per_period < 1
+        ):
+            raise ConfigurationError(
+                "workload steps_per_period must be an integer >= 1, "
+                f"got {self.steps_per_period!r}"
+            )
+        for name, arity in (("schedule", 2), ("bursts", 3), ("skew", 3)):
+            for entry in getattr(self, name):
+                if len(entry) != arity or not all(_finite(v) for v in entry):
+                    raise ConfigurationError(
+                        f"workload {name} entries must be {arity} finite "
+                        f"numbers, got {entry!r}"
+                    )
         if self.arrival == "piecewise" and not self.schedule:
             raise ConfigurationError("piecewise arrival needs a schedule")
         if self.arrival == "closed_loop" and self.clients < 1:
             raise ConfigurationError("closed_loop arrival needs clients >= 1")
-        for entry in self.skew:
-            if len(entry) != 3:
-                raise ConfigurationError(
-                    "skew entries are (at_s, hot_fraction, hot_node)"
-                )
-            at_s, hot_fraction, hot_node = entry
+        for at_s, hot_fraction, hot_node in self.skew:
             if at_s < 0:
                 raise ConfigurationError("skew at_s must be >= 0")
             if not 0.0 <= hot_fraction <= 1.0:

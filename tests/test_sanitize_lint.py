@@ -1,6 +1,8 @@
 """Golden-diagnostic tests for the static determinism lint."""
 
+import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from repro.sanitize import (
 FIXTURES = Path(__file__).parent / "data" / "lint_fixtures"
 VIOLATIONS = FIXTURES / "violations.py"
 CLEAN = FIXTURES / "clean.py"
+GOLDEN = Path(__file__).parent / "data" / "lint_findings_golden.json"
 PACKAGE = Path(__file__).parents[1] / "src" / "repro"
 
 
@@ -90,6 +93,69 @@ def test_syntax_error_reports_ds000():
     findings = lint_source("def broken(:\n", "x.py")
     assert len(findings) == 1
     assert findings[0].rule_id == "DS000"
+
+
+def test_syntax_error_reports_ds000_through_lint_paths(tmp_path):
+    (tmp_path / "broken.py").write_text("def broken(:\n")
+    (tmp_path / "ok.py").write_text("import time\nT = time.time()\n")
+    findings = lint_paths([tmp_path])
+    assert [(f.rule_id, f.rule_name, Path(f.path).name) for f in findings] == [
+        ("DS000", "syntax-error", "broken.py"),
+        ("DS101", "wall-clock", "ok.py"),
+    ]
+    assert findings[0].line == 1
+
+
+@pytest.mark.parametrize("key, rules", [("all", None), ("DS2xx", ["DS2xx"])])
+def test_fixture_findings_match_golden(key, rules):
+    """Every finding on the fixtures, in output order, as recorded
+    before the single-traversal rewrite of the rule pass."""
+    rows = [
+        [Path(f.path).relative_to(FIXTURES).as_posix(), f.line, f.col,
+         f.rule_id, f.message]
+        for f in lint_paths([FIXTURES], rules=rules)
+    ]
+    assert rows == json.loads(GOLDEN.read_text())[key]
+
+
+def test_lint_paths_parses_each_file_once_and_never_walks(tmp_path, monkeypatch):
+    (tmp_path / "broken.py").write_text("def broken(:\n")
+    (tmp_path / "latin.py").write_bytes(b"x = '\xe9'\n")  # unreadable
+    parse, walk = ast.parse, ast.walk
+    parsed: Counter = Counter()
+    walks: Counter = Counter()
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed[str(filename)] += 1
+        return parse(source, filename, *args, **kwargs)
+
+    def counting_walk(node):
+        walks[type(node).__name__] += 1
+        return walk(node)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    findings = lint_paths([FIXTURES, tmp_path])
+    readable = sorted(FIXTURES.glob("*.py")) + [tmp_path / "broken.py"]
+    assert parsed == {str(path): 1 for path in readable}
+    assert walks == {}
+    assert {f.rule_id for f in findings} >= {"DS000", "DS101", "DS201"}
+
+
+def test_import_aliases_keep_walk_order():
+    """Aliases are file-wide: of two imports binding one name, the one
+    a breadth-first ``ast.walk`` meets last wins, even when a deeper
+    import comes first in the source."""
+    source = (
+        "def stamp():\n"
+        "    from fakeclock import clock as time\n"
+        "    return time\n"
+        "\n"
+        "\n"
+        "import time\n"
+        "T = time.time()\n"
+    )
+    assert lint_source(source, "x.py", rules=["DS101"]) == []
 
 
 def test_findings_json_shape():

@@ -52,6 +52,31 @@ def test_workload_validates_skew_entries():
         WorkloadSpec(skew=((0.0, 1.5, 0),))  # fraction > 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("period_s", float("nan")),
+        ("period_s", -240.0),
+        ("trough_factor", float("nan")),
+        ("trough_factor", 1.5),
+        ("schedule", ((0.0, float("nan")),)),
+        ("schedule", ((0.0,),)),
+        ("bursts", ((1.0, -2.0, float("inf")),)),
+        ("think_time_s", -1.0),
+        ("think_time_s", float("inf")),
+        ("base_service_s", float("nan")),
+        ("steps_per_period", 0),
+        ("steps_per_period", 2.5),
+        ("control_interval_s", 0.0),
+        ("skew", ((float("nan"), 0.5, 0),)),
+        ("skew", ((0.0, 0.5, float("nan")),)),
+    ],
+)
+def test_workload_rejects_malformed_field_naming_it(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        WorkloadSpec(**{field: value})
+
+
 def test_scenario_rejects_unknown_app():
     with pytest.raises(ConfigurationError):
         ScenarioSpec(app="fraud-detection")
